@@ -15,8 +15,6 @@
      rmctl explain    [opts]               audit one allocation decision
      rmctl metrics    [opts]               run a job with telemetry on, dump metrics
      rmctl serve      [opts]               resident allocation daemon (brokerd)
-     rmctl serve-metrics [opts]            write Prometheus expositions on an interval
-                                           (deprecated: scrape the daemon instead)
      rmctl slo        [opts]               per-policy scheduler SLO comparison
      rmctl check-export [opts]             validate exported trace / metrics files
      rmctl matrix     [opts]               run the scenario x policy x engine matrix
@@ -69,15 +67,32 @@ let time_t =
        & info [ "time" ] ~docv:"SECONDS"
            ~doc:"Simulated time at which to act (monitor warm-up is ~960s).")
 
+(* [conv] restricted to the values [ok] accepts, so a bad value is a
+   usage error naming its flag rather than an exception from the model. *)
+let checked conv ~expected ok =
+  let parse s =
+    match Arg.conv_parser conv s with
+    | Ok v when ok v -> Ok v
+    | Ok _ -> Error (`Msg (Printf.sprintf "%s expected, got %s" expected s))
+    | Error _ as e -> e
+  in
+  Arg.conv (parse, Arg.conv_printer conv)
+
+let positive_int = checked Arg.int ~expected:"a positive integer" (fun n -> n > 0)
+
 let procs_t =
-  Arg.(value & opt int 32 & info [ "procs"; "n" ] ~docv:"N" ~doc:"Process count.")
+  Arg.(value & opt positive_int 32
+       & info [ "procs"; "n" ] ~docv:"N" ~doc:"Process count.")
 
 let ppn_t =
-  Arg.(value & opt (some int) (Some 4)
+  Arg.(value & opt (some positive_int) (Some 4)
        & info [ "ppn" ] ~docv:"N" ~doc:"Processes per node (omit to use Eq. 3).")
 
+let unit_float =
+  checked Arg.float ~expected:"a number in [0, 1]" (fun a -> a >= 0.0 && a <= 1.0)
+
 let alpha_t =
-  Arg.(value & opt float 0.3
+  Arg.(value & opt unit_float 0.3
        & info [ "alpha" ] ~docv:"A" ~doc:"Eq. 4 compute weight; beta = 1 - alpha.")
 
 let policy_arg =
@@ -98,7 +113,7 @@ let app_t =
        & info [ "app" ] ~docv:"APP" ~doc:"minimd or minife.")
 
 let size_t =
-  Arg.(value & opt int 16
+  Arg.(value & opt positive_int 16
        & info [ "size" ] ~docv:"S" ~doc:"miniMD box edge s, or miniFE nx.")
 
 (* Evaluates to () after setting the process-wide domain default, so
@@ -588,70 +603,6 @@ let metrics_cmd =
     Term.(const run $ knobs_t $ scenario_t $ seed_t $ time_t $ procs_t
           $ ppn_t $ alpha_t $ policy_t $ app_t $ size_t $ trace_out_t
           $ trace_format_t $ metrics_out_t)
-
-(* --- serve-metrics ------------------------------------------------------------ *)
-
-let serve_metrics_cmd =
-  let run scenario seed time procs ppn alpha policy app size interval count out =
-    Telemetry.Runtime.enable ();
-    let _cluster, sim, world, monitor, rng = make_env ~scenario ~seed ~time in
-    let snap = System.snapshot monitor ~time in
-    let request = Request.make ?ppn ~alpha ~procs () in
-    (match
-       Policies.allocate ~policy ~snapshot:snap ~weights:Weights.paper_default
-         ~request ~rng ()
-     with
-    | Error e -> Format.printf "error: %a@." Allocation.pp_error e
-    | Ok allocation ->
-      let app = app_of app size ~ranks:(Allocation.total_procs allocation) in
-      ignore (Executor.run ~world ~allocation ~app ()));
-    (* One exposition per interval of virtual time; the file is
-       overwritten in place each round, like a scrape target. *)
-    for i = 1 to count do
-      let exposition = Telemetry.Prometheus.render_registry () in
-      (match out with
-      | Some path ->
-        write_file path exposition;
-        Format.printf "t=%.0fs wrote %s (%d bytes)@." (Sim.now sim) path
-          (String.length exposition)
-      | None ->
-        Format.printf "# t=%.0fs virtual@.%s" (Sim.now sim) exposition);
-      if i < count then begin
-        let target = Float.max (Sim.now sim) (World.now world) +. interval in
-        Sim.run_until sim target;
-        World.advance world ~now:target
-      end
-    done
-  in
-  let interval_t =
-    Arg.(value & opt float 300.0
-         & info [ "interval" ] ~docv:"SECONDS"
-             ~doc:"Virtual seconds between expositions.")
-  in
-  let count_t =
-    Arg.(value & opt int 1
-         & info [ "count" ] ~docv:"N"
-             ~doc:"Expositions to write (1 = one-shot).")
-  in
-  let out_t =
-    Arg.(value & opt (some string) None
-         & info [ "o"; "output" ] ~docv:"FILE"
-             ~doc:"Exposition file, overwritten each interval (default \
-                   stdout).")
-  in
-  Cmd.v
-    (Cmd.info "serve-metrics"
-       ~deprecated:
-         "use 'rmctl serve' and scrape GET /metrics on its socket; the \
-          interval-file mode remains as a fallback for file-based scrape \
-          targets only."
-       ~doc:
-         "Run one job with telemetry on, then write the metric registry as \
-          a Prometheus text exposition every --interval virtual seconds, \
-          --count times, to a file or stdout. Deprecated in favour of the \
-          resident daemon's /metrics endpoint (same renderer, no drift).")
-    Term.(const run $ scenario_t $ seed_t $ time_t $ procs_t $ ppn_t $ alpha_t
-          $ policy_t $ app_t $ size_t $ interval_t $ count_t $ out_t)
 
 (* --- slo ---------------------------------------------------------------------- *)
 
@@ -1287,5 +1238,5 @@ let () =
           [ cluster_cmd; snapshot_cmd; allocate_cmd; run_cmd; compare_cmd;
             forecast_cmd; record_cmd; replay_cmd; sched_cmd; chaos_cmd;
             malleable_cmd;
-            explain_cmd; metrics_cmd; Serve_cmd.cmd; serve_metrics_cmd;
+            explain_cmd; metrics_cmd; Serve_cmd.cmd;
             slo_cmd; check_export_cmd; matrix_cmd; dashboard_cmd ]))

@@ -238,10 +238,10 @@ let term =
         $ no_overlay_t $ lease_t $ overlay_load_t $ overlay_traffic_t)
 
 let doc =
-  "Resident allocation daemon: accepts allocate/release/status/metrics \
-   requests over a versioned JSON line protocol, batches each tick's \
-   pending requests against one monitor snapshot, and serves Prometheus \
-   text on GET /metrics."
+  "Resident allocation daemon: accepts \
+   allocate/release/grow/shrink/status/metrics requests over a JSON line \
+   protocol (v3), batches each tick's pending requests against one \
+   monitor snapshot, and serves Prometheus text on GET /metrics."
 
 (* `rmctl serve` *)
 let cmd = Cmd.v (Cmd.info "serve" ~doc) term

@@ -49,8 +49,8 @@ val set :
   load:(int * float) list ->
   traffic:((int * int) * float) list ->
   unit
-(** Replace a live entry in place — how a v2 grow/shrink/renegotiate
-    re-shapes a grant's footprint. Raises [Invalid_argument] if the
+(** Replace a live entry in place — how a grow or shrink re-shapes a
+    grant's footprint. Raises [Invalid_argument] if the
     handle is not live (same validation as {!register} otherwise). *)
 
 val remove : t -> handle -> unit

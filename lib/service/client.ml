@@ -78,20 +78,6 @@ let grow ?ppn ?(alpha = 0.5) ?policy t ~alloc_id ~delta_procs =
 
 let shrink t ~alloc_id ~delta_procs = rpc t (Wire.Shrink { alloc_id; delta_procs })
 
-let renegotiate ?ppn ?(alpha = 0.5) ?policy t ~alloc_id ~min_procs ~pref_procs
-    ~max_procs =
-  rpc t
-    (Wire.Renegotiate
-       {
-         ren_alloc_id = alloc_id;
-         min_procs;
-         pref_procs;
-         max_procs;
-         ren_ppn = ppn;
-         ren_alpha = alpha;
-         ren_policy = policy;
-       })
-
 let release t ~alloc_id = rpc t (Wire.Release { alloc_id })
 let status t = rpc t Wire.Status
 let metrics t = rpc t Wire.Metrics

@@ -72,8 +72,8 @@ type config = {
   horizon_s : float;  (** monitor daemons scheduled this far ahead *)
   reconfig_data_mb_per_proc : float;
       (** redistribution payload assumed per moved rank when answering
-          v2 grow/shrink/renegotiate — the daemon has no per-job data
-          model, so the delay it reports uses this flat figure *)
+          grow/shrink — the daemon has no per-job data model, so the
+          delay it reports uses this flat figure *)
   reconfig_overhead_s : float;
       (** fixed cost added to every reported reconfiguration delay *)
   overlay : bool;
@@ -150,7 +150,6 @@ type work =
   | Alloc_work of Wire.allocate
   | Grow_work of Wire.grow
   | Shrink_work of { alloc_id : int; delta_procs : int }
-  | Renegotiate_work of Wire.renegotiate
   | Release_work of { alloc_id : int }
       (** overlay mode only: the release recomposes the world, which
           must happen on the tick thread (sole [Model_cache] user) *)
@@ -280,6 +279,9 @@ let open_endpoint = function
     fd
 
 let create config =
+  (* Checked here, not on the tick thread: a take of zero would kill
+     that thread and leave every allocate waiting forever. *)
+  if config.max_batch <= 0 then invalid_arg "Server: max_batch must be positive";
   let cluster = make_cluster config.nodes in
   let sim = Sim.create () in
   let world =
@@ -609,6 +611,9 @@ let release_response t ~alloc_id =
 let reconfig_rejected message =
   Wire.Error { code = Wire.Reconfig_rejected; message }
 
+let policy_or_default t policy =
+  Option.value policy ~default:t.config.broker.Broker.policy
+
 let serve_alloc t ~snapshot (params : Wire.allocate) =
   let outcome =
     try Batcher.serve_one ~base:t.config.broker ~snapshot ~rng:t.rng params
@@ -644,20 +649,27 @@ let finish_reconfig t ~alloc_id ~cur merged =
   Metrics.incr m_reconfigs;
   Wire.Reconfigured { alloc_id; allocation = merged; moved_procs; delay_s }
 
-(* Grow [cur] by [delta] ranks: place the extra ranks with the job's
+(* Grow [cur] by the delta: place the extra ranks with the job's
    current nodes hidden (the delta must land elsewhere — growing in
    place is not a redistribution), then merge and price the move. *)
-let grow_allocation t ~snapshot ~alloc_id ~cur ~delta ~ppn ~alpha ~policy =
-  let request = Request.make ?ppn ~alpha ~procs:delta () in
+let grow_allocation t ~snapshot ~cur (g : Wire.grow) =
+  let request =
+    Request.make ?ppn:g.Wire.grow_ppn ~alpha:g.Wire.grow_alpha
+      ~procs:g.Wire.delta_procs ()
+  in
   let snapshot = Snapshot.restrict snapshot ~exclude:(Allocation.node_ids cur) in
   match
-    Policies.allocate ?starts:t.config.broker.Broker.starts ~policy ~snapshot
-      ~weights:t.config.broker.Broker.weights ~request ~rng:t.rng ()
+    Policies.allocate ?starts:t.config.broker.Broker.starts
+      ~policy:(policy_or_default t g.Wire.grow_policy)
+      ~snapshot ~weights:t.config.broker.Broker.weights ~request ~rng:t.rng ()
   with
   | Error e -> alloc_error_response e
-  | Ok extra -> finish_reconfig t ~alloc_id ~cur (Malleable.merge ~base:cur ~extra)
+  | Ok extra ->
+    finish_reconfig t ~alloc_id:g.Wire.alloc_id ~cur
+      (Malleable.merge ~base:cur ~extra)
 
-let shrink_allocation t ~alloc_id ~cur ~target =
+let shrink_allocation t ~alloc_id ~cur ~delta_procs =
+  let target = Allocation.total_procs cur - delta_procs in
   match Malleable.shrink_to cur ~target_procs:target with
   | None ->
     reconfig_rejected
@@ -670,56 +682,18 @@ let shrink_allocation t ~alloc_id ~cur ~target =
 let serve_work t ~snapshot = function
   | Alloc_work params -> serve_alloc t ~snapshot params
   | Release_work { alloc_id } -> release_response t ~alloc_id
-  | Grow_work (g : Wire.grow) -> (
+  | Grow_work g -> (
     match lookup_allocation t ~alloc_id:g.Wire.alloc_id with
     | None -> missing_alloc t ~alloc_id:g.Wire.alloc_id
-    | Some st ->
-      let cur = st.allocation in
-      let policy =
-        Option.value g.Wire.grow_policy ~default:t.config.broker.Broker.policy
-      in
-      grow_allocation t ~snapshot ~alloc_id:g.Wire.alloc_id ~cur
-        ~delta:g.Wire.delta_procs ~ppn:g.Wire.grow_ppn ~alpha:g.Wire.grow_alpha
-        ~policy)
+    | Some st -> grow_allocation t ~snapshot ~cur:st.allocation g)
   | Shrink_work { alloc_id; delta_procs } -> (
     match lookup_allocation t ~alloc_id with
     | None -> missing_alloc t ~alloc_id
-    | Some st ->
-      let cur = st.allocation in
-      shrink_allocation t ~alloc_id ~cur
-        ~target:(Allocation.total_procs cur - delta_procs))
-  | Renegotiate_work (r : Wire.renegotiate) -> (
-    match lookup_allocation t ~alloc_id:r.Wire.ren_alloc_id with
-    | None -> missing_alloc t ~alloc_id:r.Wire.ren_alloc_id
-    | Some st ->
-      let cur = st.allocation in
-      (* The decoder guarantees min <= pref <= max; resize to pref. *)
-      let total = Allocation.total_procs cur in
-      let target = r.Wire.pref_procs in
-      if target = total then
-        Wire.Reconfigured
-          {
-            alloc_id = r.Wire.ren_alloc_id;
-            allocation = cur;
-            moved_procs = 0;
-            delay_s = 0.0;
-          }
-      else if target > total then
-        let policy =
-          Option.value r.Wire.ren_policy ~default:t.config.broker.Broker.policy
-        in
-        grow_allocation t ~snapshot ~alloc_id:r.Wire.ren_alloc_id ~cur
-          ~delta:(target - total) ~ppn:r.Wire.ren_ppn ~alpha:r.Wire.ren_alpha
-          ~policy
-      else shrink_allocation t ~alloc_id:r.Wire.ren_alloc_id ~cur ~target)
+    | Some st -> shrink_allocation t ~alloc_id ~cur:st.allocation ~delta_procs)
 
 let work_policy t = function
-  | Alloc_work (params : Wire.allocate) ->
-    Option.value params.Wire.policy ~default:t.config.broker.Broker.policy
-  | Grow_work g ->
-    Option.value g.Wire.grow_policy ~default:t.config.broker.Broker.policy
-  | Renegotiate_work r ->
-    Option.value r.Wire.ren_policy ~default:t.config.broker.Broker.policy
+  | Alloc_work (params : Wire.allocate) -> policy_or_default t params.Wire.policy
+  | Grow_work g -> policy_or_default t g.Wire.grow_policy
   | Shrink_work _ | Release_work _ -> t.config.broker.Broker.policy
 
 let serve_batch t batch =
@@ -852,7 +826,6 @@ let handle_request t = function
   | Wire.Grow g -> submit_work t (Grow_work g)
   | Wire.Shrink { alloc_id; delta_procs } ->
     submit_work t (Shrink_work { alloc_id; delta_procs })
-  | Wire.Renegotiate r -> submit_work t (Renegotiate_work r)
   | Wire.Release { alloc_id } ->
     (* Overlay mode: the release re-shapes the decision snapshot, so it
        rides the admission queue to the tick thread like every other

@@ -1,14 +1,14 @@
-(* Versioned JSON wire protocol for the resident allocation daemon
-   (`brokerd` / `rmctl serve`).
+(* JSON wire protocol for the resident allocation daemon (`brokerd` /
+   `rmctl serve`).
 
    Transport framing is one JSON object per line in both directions.
    Every request carries the protocol version and a client-chosen
    request id; the matching response echoes that id, so a client may
    pipeline requests on one connection and correlate the replies.
 
-     {"v":1,"id":7,"op":"allocate","procs":32,"ppn":4,"alpha":0.3,
+     {"v":3,"id":7,"op":"allocate","procs":32,"ppn":4,"alpha":0.3,
       "policy":"network-load-aware"}
-     {"v":1,"id":7,"ok":"allocated","alloc":3,"policy":"network-load-aware",
+     {"v":3,"id":7,"ok":"allocated","alloc":3,"policy":"network-load-aware",
       "entries":[{"node":12,"procs":4}, ...]}
 
    Decisions the broker cannot satisfy *right now* but could later come
@@ -16,28 +16,19 @@
    load threshold, admission-queue backpressure); hard failures come
    back as `error` responses with a machine-readable code. The codec
    validates on decode — a request that decodes `Ok` is safe to hand to
-   `Request.make` / `Broker.decide` without re-checking. Numbers are
-   emitted with `Json`'s round-trip-exact float format, so encode/decode
-   is the identity on every well-formed message (qcheck-gated in
-   `test_service.ml`). *)
+   `Request.make` / `Broker.decide` without re-checking — and never
+   raises: malformed, truncated, deeply nested or duplicate-key lines
+   all decode to an error. Numbers are emitted with `Json`'s
+   round-trip-exact float format, so encode/decode is the identity on
+   every well-formed message (qcheck-gated in `test_service.ml`). *)
 
 module Json = Rm_telemetry.Json
 module Policies = Rm_core.Policies
 module Allocation = Rm_core.Allocation
 
-(* v1: allocate/release/status/metrics. v2 adds the malleability ops —
-   grow/shrink/renegotiate — and the `reconfigured` response. v3 adds
-   the overlay/lease hints: optional `lease_s` / `load_per_proc` /
-   `traffic_mb_s_per_proc` on allocate, `expires_s` on the allocated
-   response, the `already_released` error code, and the overlay/lease
-   fields in status. The codec still accepts v1 envelopes (decoding a
-   v2-only op under a v1 envelope is an [Unsupported_version] error,
-   so an old client can never trip into semantics it does not know),
-   and always emits the current version. The v3 allocate hints are
-   plain additive fields — older daemons ignored unknown keys, so they
-   are accepted under any envelope version rather than gated. *)
+(* The one protocol version this codec speaks: any other [v] is refused
+   with [Unsupported_version]. *)
 let version = 3
-let min_version = 1
 
 (* --- requests ---------------------------------------------------------- *)
 
@@ -50,13 +41,13 @@ type allocate = {
   wait_threshold : float option;
       (** [None] inherits the daemon's default broker threshold. *)
   lease_s : float option;
-      (** v3: requested lease duration. [None] inherits the daemon's
+      (** requested lease duration. [None] inherits the daemon's
           default lease (which may be unlimited). *)
   load_per_proc : float option;
-      (** v3: overlay compute load each granted rank contributes.
+      (** overlay compute load each granted rank contributes.
           [None] inherits the daemon's profile default. *)
   traffic_mb_s_per_proc : float option;
-      (** v3: overlay traffic each rank pushes to its ring neighbour.
+      (** overlay traffic each rank pushes to its ring neighbour.
           [None] inherits the daemon's profile default. *)
 }
 
@@ -69,24 +60,12 @@ type grow = {
       (** policy for placing the added procs; [None] inherits *)
 }
 
-type renegotiate = {
-  ren_alloc_id : int;
-  min_procs : int;
-  pref_procs : int;  (* decode guarantees min <= pref <= max *)
-  max_procs : int;
-  ren_ppn : int option;
-  ren_alpha : float;
-  ren_policy : Policies.policy option;
-}
-
 type request =
   | Allocate of allocate
   | Release of { alloc_id : int }
-  | Grow of grow  (** v2: add [delta_procs] to a live allocation *)
+  | Grow of grow  (** add [delta_procs] to a live allocation *)
   | Shrink of { alloc_id : int; delta_procs : int }
-      (** v2: retreat [delta_procs] from the allocation's tail entries *)
-  | Renegotiate of renegotiate
-      (** v2: resize a live allocation to its preferred count *)
+      (** retreat [delta_procs] from the allocation's tail entries *)
   | Status
   | Metrics
 
@@ -141,8 +120,8 @@ type status_info = {
   draining : bool;
   cache_hits : int;
   cache_misses : int;
-  overlay : bool;  (** v3: grants overlay load/traffic and hold nodes *)
-  active_leases : int;  (** v3: live allocations with an expiry *)
+  overlay : bool;  (** grants overlay load/traffic and hold nodes *)
+  active_leases : int;  (** live allocations with an expiry *)
 }
 
 type response =
@@ -150,14 +129,14 @@ type response =
       alloc_id : int;
       allocation : Allocation.t;
       expires_s : float option;
-          (** v3: lease duration granted, [None] = no expiry *)
+          (** lease duration granted, [None] = no expiry *)
     }
   | Reconfigured of {
       alloc_id : int;
       allocation : Allocation.t;  (** the new shape, post-directive *)
       moved_procs : int;  (** ranks whose home node changed *)
       delay_s : float;  (** modeled data-redistribution delay *)
-    }  (** v2: a grow/shrink/renegotiate directive was applied *)
+    }  (** a grow or shrink directive was applied *)
   | Retry of { after_s : float; reason : retry_reason }
   | Released of { alloc_id : int }
   | Status_info of status_info
@@ -220,20 +199,6 @@ let encode_request { req_id; request } =
         ("alloc", Json.Num (float_of_int alloc_id));
         ("delta", Json.Num (float_of_int delta_procs));
       ]
-    | Renegotiate r ->
-      [ ("op", Json.Str "renegotiate");
-        ("alloc", Json.Num (float_of_int r.ren_alloc_id));
-        ("min", Json.Num (float_of_int r.min_procs));
-        ("pref", Json.Num (float_of_int r.pref_procs));
-        ("max", Json.Num (float_of_int r.max_procs)) ]
-      @ (match r.ren_ppn with
-        | Some p -> [ ("ppn", Json.Num (float_of_int p)) ]
-        | None -> [])
-      @ [ ("alpha", Json.Num r.ren_alpha) ]
-      @
-      (match r.ren_policy with
-      | Some p -> [ ("policy", Json.Str (Policies.name p)) ]
-      | None -> [])
     | Status -> [ ("op", Json.Str "status") ]
     | Metrics -> [ ("op", Json.Str "metrics") ]
   in
@@ -341,9 +306,7 @@ let as_bool ~what = function
   | Json.Bool b -> b
   | _ -> reject Bad_request "%s must be a boolean" what
 
-let decode_allocate j =
-  let procs = as_int ~what:"procs" (Json.member "procs" j) in
-  if procs <= 0 then reject Bad_request "procs must be positive";
+let decode_ppn_alpha_policy j =
   let ppn =
     match Json.member "ppn" j with
     | Json.Null -> None
@@ -368,6 +331,12 @@ let decode_allocate j =
       | Some p -> Some p
       | None -> reject Bad_request "unknown policy %S" name)
   in
+  (ppn, alpha, policy)
+
+let decode_allocate j =
+  let procs = as_int ~what:"procs" (Json.member "procs" j) in
+  if procs <= 0 then reject Bad_request "procs must be positive";
+  let ppn, alpha, policy = decode_ppn_alpha_policy j in
   let wait_threshold =
     match Json.member "wait_threshold" j with
     | Json.Null -> None
@@ -403,33 +372,6 @@ let decode_allocate j =
       traffic_mb_s_per_proc;
     }
 
-let decode_ppn_alpha_policy j =
-  let ppn =
-    match Json.member "ppn" j with
-    | Json.Null -> None
-    | v ->
-      let p = as_int ~what:"ppn" v in
-      if p <= 0 then reject Bad_request "ppn must be positive";
-      Some p
-  in
-  let alpha =
-    match Json.member "alpha" j with
-    | Json.Null -> 0.5
-    | v -> as_finite ~what:"alpha" v
-  in
-  if alpha < 0.0 || alpha > 1.0 then
-    reject Bad_request "alpha must be in [0, 1]";
-  let policy =
-    match Json.member "policy" j with
-    | Json.Null -> None
-    | v -> (
-      let name = as_string ~what:"policy" v in
-      match Policies.of_name name with
-      | Some p -> Some p
-      | None -> reject Bad_request "unknown policy %S" name)
-  in
-  (ppn, alpha, policy)
-
 let decode_delta j =
   let delta = as_int ~what:"delta" (Json.member "delta" j) in
   if delta <= 0 then reject Bad_request "delta must be positive";
@@ -441,75 +383,64 @@ let decode_grow j =
   let grow_ppn, grow_alpha, grow_policy = decode_ppn_alpha_policy j in
   Grow { alloc_id; delta_procs; grow_ppn; grow_alpha; grow_policy }
 
-let decode_renegotiate j =
-  let ren_alloc_id = as_int ~what:"alloc" (Json.member "alloc" j) in
-  let min_procs = as_int ~what:"min" (Json.member "min" j) in
-  let pref_procs = as_int ~what:"pref" (Json.member "pref" j) in
-  let max_procs = as_int ~what:"max" (Json.member "max" j) in
-  if min_procs < 1 || pref_procs < min_procs || max_procs < pref_procs then
-    reject Bad_request "renegotiate requires 1 <= min <= pref <= max";
-  let ren_ppn, ren_alpha, ren_policy = decode_ppn_alpha_policy j in
-  Renegotiate
-    { ren_alloc_id; min_procs; pref_procs; max_procs; ren_ppn; ren_alpha;
-      ren_policy }
+(* The keys that occur more than once, in sorted order. Sorting keeps a
+   hostile line of many distinct keys at n log n compares. *)
+let repeated_keys fields =
+  let rec go acc = function
+    | a :: (b :: _ as rest) when String.equal a b ->
+      go (match acc with x :: _ when String.equal x a -> acc | _ -> a :: acc) rest
+    | _ :: rest -> go acc rest
+    | [] -> List.rev acc
+  in
+  go [] (List.sort String.compare (List.map fst fields))
 
-(* Shared by request and response decoding: parse the line, check the
-   version, pull the id.  The id is extracted before the version check
-   so even an unsupported-version error can be correlated. Returns the
-   envelope's version so v2-only ops can be gated. *)
+(* Shared by request and response decoding: parse the line, reject
+   duplicate top-level keys, check the version, pull the id. The id is
+   extracted first so even an unsupported-version or duplicate-key
+   error can be correlated — unless the id itself is repeated. *)
 let decode_envelope ?(seen_id = ref None) line =
   match Json.of_string line with
   | exception Failure m -> raise (Reject (Bad_request, m))
-  | Json.Obj _ as j ->
+  | Json.Obj fields as j ->
+    let repeated = repeated_keys fields in
     let id =
       match Json.member "id" j with
+      | _ when List.mem "id" repeated -> None
       | Json.Num n when Float.is_integer n && Float.abs n < 1e9 ->
         Some (int_of_float n)
       | _ -> None
     in
     seen_id := id;
-    let v =
-      match Json.member "v" j with
-      | Json.Num n
-        when Float.is_integer n
-             && int_of_float n >= min_version
-             && int_of_float n <= version ->
-        int_of_float n
-      | Json.Null -> reject Bad_request "missing protocol version"
-      | Json.Num n -> reject Unsupported_version "unsupported version %.0f" n
-      | _ -> reject Bad_request "version must be a number"
-    in
+    (match repeated with
+    | k :: _ -> reject Bad_request "duplicate key %S" k
+    | [] -> ());
+    (match Json.member "v" j with
+    | Json.Num n when n = float_of_int version -> ()
+    | Json.Null -> reject Bad_request "missing protocol version"
+    | Json.Num n ->
+      reject Unsupported_version "unsupported version %g (expected %d)" n version
+    | _ -> reject Bad_request "version must be a number");
     (match id with
-    | Some id -> (id, v, j)
+    | Some id -> (id, j)
     | None -> reject Bad_request "missing request id")
   | _ -> raise (Reject (Bad_request, "top level is not a JSON object"))
 
 let decode_request line : (req, decode_error) result =
   let id = ref None in
   try
-    let req_id, v, j = decode_envelope ~seen_id:id line in
-    let v2_only op =
-      if v < 2 then
-        reject Unsupported_version "op %S requires protocol v2 (got v%d)" op v
-    in
+    let req_id, j = decode_envelope ~seen_id:id line in
     let request =
       match as_string ~what:"op" (Json.member "op" j) with
       | "allocate" -> decode_allocate j
       | "release" ->
         Release { alloc_id = as_int ~what:"alloc" (Json.member "alloc" j) }
-      | "grow" ->
-        v2_only "grow";
-        decode_grow j
+      | "grow" -> decode_grow j
       | "shrink" ->
-        v2_only "shrink";
         Shrink
           {
             alloc_id = as_int ~what:"alloc" (Json.member "alloc" j);
             delta_procs = decode_delta j;
           }
-      | "renegotiate" ->
-        v2_only "renegotiate";
-        decode_renegotiate j
       | "status" -> Status
       | "metrics" -> Metrics
       | op -> reject Bad_request "unknown op %S" op
@@ -549,7 +480,7 @@ let decode_status j =
 
 let decode_response line : (resp, string) result =
   try
-    let resp_id, _v, j = decode_envelope line in
+    let resp_id, j = decode_envelope line in
     let response =
       match Json.member "error" j with
       | Json.Str name ->
@@ -626,7 +557,10 @@ let decode_response line : (resp, string) result =
       | _ -> reject Bad_request "error must be a string code"
     in
     Ok { resp_id; response }
-  with Reject (_, message) -> Result.Error message
+  with
+  (* [Failure]: a nested member read on a non-object (an entry or the
+     status body of the wrong JSON type). *)
+  | Reject (_, message) | Failure message -> Result.Error message
 
 (* --- pretty-printing ---------------------------------------------------- *)
 

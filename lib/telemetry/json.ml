@@ -63,6 +63,12 @@ let to_string v =
 
 type cursor = { text : string; mutable pos : int }
 
+(* Arrays and objects nest at most this deep. The parser recurses once
+   per level, so an unbounded line of '[' would otherwise grow the stack
+   with the input; every document this library writes is a few levels
+   deep. *)
+let max_depth = 512
+
 let fail c msg = failwith (Printf.sprintf "Json.of_string: at %d: %s" c.pos msg)
 
 let peek c = if c.pos < String.length c.text then Some c.text.[c.pos] else None
@@ -152,7 +158,8 @@ let parse_number c =
   | Some x -> x
   | None -> fail c "bad number"
 
-let rec parse_value c =
+(* [depth] counts the arrays and objects enclosing the value. *)
+let rec parse_value c depth =
   skip_ws c;
   match peek c with
   | None -> fail c "unexpected end of input"
@@ -160,6 +167,7 @@ let rec parse_value c =
   | Some 't' -> literal c "true" (Bool true)
   | Some 'f' -> literal c "false" (Bool false)
   | Some '"' -> Str (parse_string c)
+  | Some ('[' | '{') when depth >= max_depth -> fail c "nesting too deep"
   | Some '[' ->
     advance c;
     skip_ws c;
@@ -169,7 +177,7 @@ let rec parse_value c =
     end
     else begin
       let rec items acc =
-        let v = parse_value c in
+        let v = parse_value c (depth + 1) in
         skip_ws c;
         match peek c with
         | Some ',' ->
@@ -195,7 +203,7 @@ let rec parse_value c =
         let k = parse_string c in
         skip_ws c;
         expect c ':';
-        (k, parse_value c)
+        (k, parse_value c (depth + 1))
       in
       let rec fields acc =
         let kv = field () in
@@ -215,7 +223,7 @@ let rec parse_value c =
 
 let of_string text =
   let c = { text; pos = 0 } in
-  let v = parse_value c in
+  let v = parse_value c 0 in
   skip_ws c;
   if c.pos <> String.length text then fail c "trailing input";
   v

@@ -19,7 +19,8 @@ val to_string : t -> string
     [null] (JSON has no representation for them). *)
 
 val of_string : string -> t
-(** Raises [Failure] with a position on malformed input. *)
+(** Raises [Failure] with a position on malformed input, including
+    arrays and objects nested more than 512 deep. *)
 
 (** {2 Accessors} — all raise [Failure] on a type mismatch. *)
 

@@ -35,7 +35,7 @@ let allocate_gen =
     let* alpha = float_bound_inclusive 1.0 in
     let* policy = opt policy_gen in
     let* wait_threshold = opt (float_bound_inclusive 100.0) in
-    (* v3 hints: lease must be strictly positive, profiles >= 0. *)
+    (* Overlay hints: lease must be strictly positive, profiles >= 0. *)
     let* lease_s = opt (map (fun l -> l +. 0.5) (float_bound_inclusive 3600.0)) in
     let* load_per_proc = opt (float_bound_inclusive 8.0) in
     let* traffic_mb_s_per_proc = opt (float_bound_inclusive 64.0) in
@@ -60,28 +60,6 @@ let grow_gen =
     let* grow_policy = opt policy_gen in
     return { Wire.alloc_id; delta_procs; grow_ppn; grow_alpha; grow_policy })
 
-let renegotiate_gen =
-  QCheck.Gen.(
-    let* ren_alloc_id = 0 -- 100_000 in
-    (* Generated as min + slack so the decode invariant
-       1 <= min <= pref <= max holds by construction. *)
-    let* min_procs = 1 -- 128 in
-    let* pref_slack = 0 -- 128 in
-    let* max_slack = 0 -- 128 in
-    let* ren_ppn = opt (1 -- 64) in
-    let* ren_alpha = float_bound_inclusive 1.0 in
-    let* ren_policy = opt policy_gen in
-    return
-      {
-        Wire.ren_alloc_id;
-        min_procs;
-        pref_procs = min_procs + pref_slack;
-        max_procs = min_procs + pref_slack + max_slack;
-        ren_ppn;
-        ren_alpha;
-        ren_policy;
-      })
-
 let request_gen =
   QCheck.Gen.(
     oneof
@@ -92,7 +70,6 @@ let request_gen =
         (let* alloc_id = 0 -- 100_000 in
          let* delta_procs = 1 -- 256 in
          return (Wire.Shrink { alloc_id; delta_procs }));
-        map (fun r -> Wire.Renegotiate r) renegotiate_gen;
         return Wire.Status;
         return Wire.Metrics;
       ])
@@ -226,40 +203,27 @@ let test_wire_rejects_bad_version () =
   (* The id is still extracted so the error response can be correlated. *)
   Alcotest.(check (option int)) "id preserved" (Some 7) e.Wire.err_id
 
-let test_wire_v1_gates_v2_ops () =
-  (* A v1 envelope still decodes the v1 ops... *)
-  (match Wire.decode_request {|{"v":1,"id":1,"op":"allocate","procs":8}|} with
-  | Ok { request = Wire.Allocate _; _ } -> ()
-  | Ok _ -> Alcotest.fail "expected allocate"
-  | Error e -> Alcotest.failf "v1 allocate rejected: %s" e.Wire.message);
-  (* ...but the malleability ops require v2, and say so. *)
+(* The codec speaks exactly [Wire.version]: the envelopes of the
+   retired v1 and v2 protocols are refused whatever the op, with the id
+   echoed so the client can correlate the refusal. *)
+let test_wire_old_versions_refused () =
   List.iter
-    (fun line ->
+    (fun (id, line) ->
       let e = decode_err line in
       Alcotest.(check bool)
-        ("v2-only under v1: " ^ line)
+        ("unsupported_version: " ^ line)
         true
-        (e.Wire.code = Wire.Unsupported_version))
+        (e.Wire.code = Wire.Unsupported_version);
+      Alcotest.(check (option int)) ("id echoed: " ^ line) (Some id) e.Wire.err_id)
     [
-      {|{"v":1,"id":2,"op":"grow","alloc":3,"delta":4}|};
-      {|{"v":1,"id":3,"op":"shrink","alloc":3,"delta":4}|};
-      {|{"v":1,"id":4,"op":"renegotiate","alloc":3,"min":2,"pref":4,"max":8}|};
-    ];
-  (* Under a v2 envelope the same ops decode. *)
-  (match Wire.decode_request {|{"v":2,"id":5,"op":"grow","alloc":3,"delta":4}|} with
-  | Ok { request = Wire.Grow { alloc_id = 3; delta_procs = 4; _ }; _ } -> ()
-  | Ok _ -> Alcotest.fail "expected grow"
-  | Error e -> Alcotest.failf "v2 grow rejected: %s" e.Wire.message);
-  match
-    Wire.decode_request
-      {|{"v":2,"id":6,"op":"renegotiate","alloc":3,"min":2,"pref":4,"max":8}|}
-  with
-  | Ok { request = Wire.Renegotiate r; _ } ->
-    Alcotest.(check int) "min" 2 r.Wire.min_procs;
-    Alcotest.(check int) "pref" 4 r.Wire.pref_procs;
-    Alcotest.(check int) "max" 8 r.Wire.max_procs
-  | Ok _ -> Alcotest.fail "expected renegotiate"
-  | Error e -> Alcotest.failf "v2 renegotiate rejected: %s" e.Wire.message
+      (1, {|{"v":1,"id":1,"op":"allocate","procs":8}|});
+      (2, {|{"v":1,"id":2,"op":"status"}|});
+      (3, {|{"v":2,"id":3,"op":"grow","alloc":3,"delta":4}|});
+      (4, {|{"v":2,"id":4,"op":"shrink","alloc":3,"delta":4}|});
+    ]
+
+(* A line of the current version: [v3 {|"id":1,"op":"status"|}]. *)
+let v3 body = Printf.sprintf {|{"v":%d,%s}|} Wire.version body
 
 let test_wire_rejects_bad_requests () =
   let bad line =
@@ -270,28 +234,24 @@ let test_wire_rejects_bad_requests () =
   bad "not json at all";
   bad {|[1,2,3]|};
   bad {|{"id":1,"op":"status"}|};  (* missing version *)
-  bad {|{"v":1,"op":"status"}|};  (* missing id *)
-  bad {|{"v":1,"id":1,"op":"frobnicate"}|};
-  bad {|{"v":1,"id":1,"op":"allocate","procs":0,"policy":"random"}|};
-  bad {|{"v":1,"id":1,"op":"allocate","procs":-4,"policy":"random"}|};
-  bad {|{"v":1,"id":1,"op":"allocate","procs":8,"ppn":0,"policy":"random"}|};
-  bad {|{"v":1,"id":1,"op":"allocate","procs":8,"alpha":1.5,"policy":"random"}|};
-  bad {|{"v":1,"id":1,"op":"allocate","procs":8,"alpha":"x","policy":"random"}|};
-  bad {|{"v":1,"id":1,"op":"allocate","procs":8,"policy":"no-such-policy"}|};
-  bad {|{"v":1,"id":1,"op":"allocate","policy":"random"}|};  (* no procs *)
-  bad {|{"v":1,"id":1,"op":"release"}|};  (* no alloc id *)
-  bad {|{"v":2,"id":1,"op":"grow","alloc":3}|};  (* no delta *)
-  bad {|{"v":2,"id":1,"op":"grow","alloc":3,"delta":0}|};
-  bad {|{"v":2,"id":1,"op":"shrink","alloc":3,"delta":-1}|};
-  (* renegotiate must satisfy 1 <= min <= pref <= max *)
-  bad {|{"v":2,"id":1,"op":"renegotiate","alloc":3,"min":0,"pref":4,"max":8}|};
-  bad {|{"v":2,"id":1,"op":"renegotiate","alloc":3,"min":4,"pref":2,"max":8}|};
-  bad {|{"v":2,"id":1,"op":"renegotiate","alloc":3,"min":2,"pref":8,"max":4}|}
+  bad (v3 {|"op":"status"|});  (* missing id *)
+  bad (v3 {|"id":1,"op":"frobnicate"|});
+  bad (v3 {|"id":1,"op":"allocate","procs":0,"policy":"random"|});
+  bad (v3 {|"id":1,"op":"allocate","procs":-4,"policy":"random"|});
+  bad (v3 {|"id":1,"op":"allocate","procs":8,"ppn":0,"policy":"random"|});
+  bad (v3 {|"id":1,"op":"allocate","procs":8,"alpha":1.5,"policy":"random"|});
+  bad (v3 {|"id":1,"op":"allocate","procs":8,"alpha":"x","policy":"random"|});
+  bad (v3 {|"id":1,"op":"allocate","procs":8,"policy":"no-such-policy"|});
+  bad (v3 {|"id":1,"op":"allocate","policy":"random"|});  (* no procs *)
+  bad (v3 {|"id":1,"op":"release"|});  (* no alloc id *)
+  bad (v3 {|"id":1,"op":"grow","alloc":3|});  (* no delta *)
+  bad (v3 {|"id":1,"op":"grow","alloc":3,"delta":0|});
+  bad (v3 {|"id":1,"op":"shrink","alloc":3,"delta":-1|});
+  (* renegotiate is not an op: resizing is grow or shrink *)
+  bad (v3 {|"id":1,"op":"renegotiate","alloc":3,"min":2,"pref":4,"max":8|})
 
 let test_wire_alpha_defaults () =
-  match
-    Wire.decode_request {|{"v":1,"id":1,"op":"allocate","procs":8}|}
-  with
+  match Wire.decode_request (v3 {|"id":1,"op":"allocate","procs":8|}) with
   | Ok { request = Wire.Allocate a; _ } ->
     Alcotest.(check (float 1e-9)) "alpha" 0.5 a.Wire.alpha;
     Alcotest.(check bool) "ppn" true (a.Wire.ppn = None);
@@ -299,6 +259,144 @@ let test_wire_alpha_defaults () =
     Alcotest.(check bool) "threshold inherits" true (a.Wire.wait_threshold = None)
   | Ok _ -> Alcotest.fail "expected allocate"
   | Error e -> Alcotest.failf "decode failed: %s" e.Wire.message
+
+(* A repeated top-level key is refused rather than resolved to its
+   first occurrence; the id is echoed unless it is the repeated key. *)
+let test_wire_rejects_duplicate_keys () =
+  let e = decode_err (v3 {|"id":7,"op":"allocate","procs":8,"procs":-1|}) in
+  Alcotest.(check bool) "bad_request" true (e.Wire.code = Wire.Bad_request);
+  Alcotest.(check (option int)) "id echoed" (Some 7) e.Wire.err_id;
+  let e = decode_err (v3 {|"id":7,"op":"status","id":8|}) in
+  Alcotest.(check bool) "duplicate id is bad_request" true
+    (e.Wire.code = Wire.Bad_request);
+  Alcotest.(check (option int)) "ambiguous id not echoed" None e.Wire.err_id;
+  let e = decode_err {|{"v":3,"v":1,"id":9,"op":"status"}|} in
+  Alcotest.(check bool) "duplicate version is bad_request" true
+    (e.Wire.code = Wire.Bad_request)
+
+(* --- decoder fuzzing ----------------------------------------------------- *)
+
+(* Lines a hostile or broken client could send: arbitrary bytes,
+   unbalanced nesting, bytes >= 0x80 (not valid UTF-8 on their own)
+   inside string values, and valid requests with one byte overwritten. *)
+let hostile_line_gen =
+  QCheck.Gen.(
+    let high_bytes = string_size ~gen:(map Char.chr (128 -- 255)) (1 -- 12) in
+    oneof
+      [
+        string_size (0 -- 256);
+        (let* n = 1 -- 4096 in
+         let* opener = oneofl [ "["; "{\"k\":"; "[{\"a\":" ] in
+         return (String.concat "" (List.init n (fun _ -> opener))));
+        map (fun b -> v3 (Printf.sprintf {|"id":1,"op":"%s"|} b)) high_bytes;
+        map
+          (fun b ->
+            v3 (Printf.sprintf {|"id":1,"op":"allocate","procs":8,"policy":"%s"|} b))
+          high_bytes;
+        (let* req_id = 0 -- 1_000_000 in
+         let* request = request_gen in
+         let line = Wire.encode_request { Wire.req_id; request } in
+         let* i = 0 -- (String.length line - 1) in
+         let* c = char in
+         return (String.mapi (fun j x -> if j = i then c else x) line));
+      ])
+
+let prop_decode_never_raises =
+  QCheck.Test.make ~name:"wire decode never raises on hostile bytes" ~count:500
+    (QCheck.make ~print:String.escaped hostile_line_gen)
+    (fun line ->
+      match Wire.decode_request line with
+      | Ok _ | Error _ -> true
+      | exception e ->
+        QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let prop_truncated_requests_rejected =
+  QCheck.Test.make ~name:"every strict prefix of a request is an error"
+    ~count:100
+    (QCheck.make QCheck.Gen.(pair (0 -- 1_000_000) request_gen))
+    (fun (req_id, request) ->
+      let line = Wire.encode_request { Wire.req_id; request } in
+      List.for_all
+        (fun n ->
+          match Wire.decode_request (String.sub line 0 n) with
+          | Error _ -> true
+          | Ok _ -> QCheck.Test.fail_reportf "prefix of %d bytes decoded" n)
+        (List.init (String.length line) Fun.id))
+
+let prop_duplicate_key_rejected =
+  QCheck.Test.make ~name:"a request with a repeated key is bad_request"
+    ~count:200
+    (QCheck.make QCheck.Gen.(triple (0 -- 1_000_000) request_gen (0 -- 100)))
+    (fun (req_id, request, pick) ->
+      let line = Wire.encode_request { Wire.req_id; request } in
+      let fields =
+        match Rm_telemetry.Json.of_string line with
+        | Rm_telemetry.Json.Obj fields -> fields
+        | _ -> QCheck.Test.fail_report "encoded request is not an object"
+      in
+      let ((key, _) as dup) = List.nth fields (pick mod List.length fields) in
+      let line = Rm_telemetry.Json.to_string (Rm_telemetry.Json.Obj (fields @ [ dup ])) in
+      match Wire.decode_request line with
+      | Ok _ -> QCheck.Test.fail_reportf "duplicate %S decoded" key
+      | Error e ->
+        e.Wire.code = Wire.Bad_request
+        && e.Wire.err_id = (if key = "id" then None else Some req_id))
+
+(* A response whose nested values have the wrong JSON type is an
+   error, not an exception escaping the client. *)
+let test_wire_bad_response_shapes () =
+  List.iter
+    (fun line ->
+      match Wire.decode_response line with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "decoded %s" line
+      | exception e ->
+        Alcotest.failf "raised %s on %s" (Printexc.to_string e) line)
+    [
+      v3 {|"id":1,"ok":"allocated","alloc":1,"policy":"random","entries":[1]|};
+      v3 {|"id":1,"ok":"status","status":[]|};
+      v3 {|"id":1,"ok":"released","alloc":1,"ok":"released"|};
+    ]
+
+(* One megabyte of '[' is refused at the parser's depth bound, not by
+   recursing a million frames deep. *)
+let test_wire_deep_nesting () =
+  let mentions needle hay =
+    let n = String.length needle in
+    let rec go i =
+      i + n <= String.length hay && (String.sub hay i n = needle || go (i + 1))
+    in
+    go 0
+  in
+  List.iter
+    (fun line ->
+      let e = decode_err line in
+      Alcotest.(check bool) "bad_request" true (e.Wire.code = Wire.Bad_request);
+      Alcotest.(check bool) "stopped at the depth bound" true
+        (mentions "nesting too deep" e.Wire.message))
+    [
+      String.make 1_048_576 '[';
+      v3 ({|"id":5,"op":"allocate","procs":|} ^ String.make 1_048_576 '[');
+    ]
+
+(* One megabyte of distinct top-level keys decodes in n log n: the
+   unknown keys are ignored, and one repeated key among them is refused.
+   A pairwise duplicate check would spend minutes of CPU on either. *)
+let test_wire_wide_object () =
+  let keys =
+    String.concat ""
+      (List.init 96_400 (fun i -> Printf.sprintf {|"k%d":0,|} i))
+  in
+  let start = Sys.time () in
+  (match Wire.decode_request (v3 ({|"id":5,|} ^ keys ^ {|"op":"status"|})) with
+  | Ok { Wire.req_id = 5; request = Wire.Status } -> ()
+  | Ok _ -> Alcotest.fail "expected status"
+  | Error e -> Alcotest.failf "decode failed: %s" e.Wire.message);
+  let e = decode_err (v3 ({|"id":5,|} ^ keys ^ {|"op":"status","k7":1|})) in
+  Alcotest.(check bool) "bad_request" true (e.Wire.code = Wire.Bad_request);
+  Alcotest.(check (option int)) "id echoed" (Some 5) e.Wire.err_id;
+  let cpu = Sys.time () -. start in
+  Alcotest.(check bool) (Printf.sprintf "prompt (%.2f s of CPU)" cpu) true (cpu < 5.0)
 
 (* --- admission queue ---------------------------------------------------- *)
 
@@ -524,6 +622,22 @@ let with_server ?(batching = true) ?(broker = Broker.default_config)
       if not was_enabled then Rm_telemetry.Runtime.disable ())
     (fun () -> f ~path ~server)
 
+(* A batch bound of zero is refused when the server is made; left to
+   the tick thread, the first take would raise there and every allocate
+   would wait forever. *)
+let test_server_rejects_zero_batch () =
+  let config =
+    {
+      (Server.default_config
+         ~endpoint:(Server.Unix_socket "/tmp/rm-svc-test-unused.sock"))
+      with
+      max_batch = 0;
+    }
+  in
+  match Server.create config with
+  | _ -> Alcotest.fail "created a server with max_batch = 0"
+  | exception Invalid_argument _ -> ()
+
 let test_server_allocate_release () =
   with_server @@ fun ~path ~server:_ ->
   let c = Client.connect (`Unix path) in
@@ -557,7 +671,7 @@ let test_server_allocate_release () =
   | Wire.Error { code = Wire.Unknown_alloc; _ } -> ()
   | r -> Alcotest.failf "expected unknown_alloc, got %a" Wire.pp_response r
 
-let test_server_grow_shrink_renegotiate () =
+let test_server_grow_shrink () =
   with_server @@ fun ~path ~server:_ ->
   let c = Client.connect (`Unix path) in
   Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
@@ -585,16 +699,6 @@ let test_server_grow_shrink_renegotiate () =
   (match Client.shrink c ~alloc_id ~delta_procs:8 with
   | Wire.Reconfigured { allocation; _ } ->
     Alcotest.(check int) "shrunk total" 16 (Allocation.total_procs allocation)
-  | r -> Alcotest.failf "expected reconfigured, got %a" Wire.pp_response r);
-  (* A renegotiate whose preference matches the current shape is a
-     no-op: no moves, no delay. *)
-  (match
-     Client.renegotiate c ~alloc_id ~min_procs:8 ~pref_procs:16 ~max_procs:32
-   with
-  | Wire.Reconfigured { allocation; moved_procs; delay_s; _ } ->
-    Alcotest.(check int) "unchanged total" 16 (Allocation.total_procs allocation);
-    Alcotest.(check int) "no moves" 0 moved_procs;
-    Alcotest.(check (float 1e-9)) "no delay" 0.0 delay_s
   | r -> Alcotest.failf "expected reconfigured, got %a" Wire.pp_response r);
   (* Shrinking to (or below) zero procs is rejected, not applied. *)
   (match Client.shrink c ~alloc_id ~delta_procs:16 with
@@ -639,12 +743,67 @@ let test_server_bad_requests () =
   (match roundtrip {|{"v":9,"id":3,"op":"status"}|} with
   | { Wire.resp_id = 3; response = Wire.Error { code = Wire.Unsupported_version; _ } } -> ()
   | _ -> Alcotest.fail "expected unsupported_version echoing id 3");
-  (match roundtrip {|{"v":1,"id":4,"op":"allocate","procs":0,"policy":"random"}|} with
+  (match roundtrip (v3 {|"id":4,"op":"allocate","procs":0,"policy":"random"|}) with
   | { Wire.resp_id = 4; response = Wire.Error { code = Wire.Bad_request; _ } } -> ()
   | _ -> Alcotest.fail "expected bad_request echoing id 4");
   match roundtrip "garbage" with
   | { Wire.response = Wire.Error { code = Wire.Bad_request; _ }; _ } -> ()
   | _ -> Alcotest.fail "expected bad_request for garbage"
+
+(* A burst of hostile lines on one connection: each gets its own
+   in-band error (with the id whenever one is recoverable), and the same
+   connection then gets a grant — the worker and the tick thread both
+   survived. *)
+let test_server_survives_hostile_burst () =
+  with_server @@ fun ~path ~server:_ ->
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX path);
+  Fun.protect ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let ic = Unix.in_channel_of_descr fd in
+  let oc = Unix.out_channel_of_descr fd in
+  let truncated =
+    let l = v3 {|"id":11,"op":"allocate","procs":8|} in
+    String.sub l 0 (String.length l - 1)
+  in
+  (* (line, id the error must echo — 0 when none is recoverable, code) *)
+  let burst =
+    [
+      ("garbage", 0, Wire.Bad_request);
+      ("", 0, Wire.Bad_request);
+      (truncated, 0, Wire.Bad_request);
+      (v3 {|"id":12,"op":"allocate","procs":8,"procs":-1|}, 12, Wire.Bad_request);
+      (v3 "\"id\":13,\"op\":\"\xff\xfe\"", 13, Wire.Bad_request);
+      (String.make 1_048_576 '[', 0, Wire.Bad_request);
+      ({|{"v":1,"id":14,"op":"allocate","procs":8}|}, 14, Wire.Unsupported_version);
+      ( v3 {|"id":15,"op":"renegotiate","alloc":1,"min":2,"pref":4,"max":8|},
+        15,
+        Wire.Bad_request );
+    ]
+  in
+  List.iter (fun (line, _, _) -> output_string oc (line ^ "\n")) burst;
+  flush oc;
+  List.iteri
+    (fun i (_, want_id, want_code) ->
+      match Wire.decode_response (input_line ic) with
+      | Ok { Wire.resp_id; response = Wire.Error { code; _ } } ->
+        Alcotest.(check int) (Printf.sprintf "line %d id" i) want_id resp_id;
+        Alcotest.(check string)
+          (Printf.sprintf "line %d code" i)
+          (Wire.error_code_name want_code) (Wire.error_code_name code)
+      | Ok { Wire.response; _ } ->
+        Alcotest.failf "line %d: expected an error, got %a" i Wire.pp_response
+          response
+      | Error m -> Alcotest.failf "line %d: bad response: %s" i m)
+    burst;
+  output_string oc (v3 {|"id":16,"op":"allocate","procs":8,"ppn":4|} ^ "\n");
+  flush oc;
+  match Wire.decode_response (input_line ic) with
+  | Ok { Wire.resp_id = 16; response = Wire.Allocated { allocation; _ } } ->
+    Alcotest.(check int) "granted" 8 (Allocation.total_procs allocation)
+  | Ok { Wire.response; _ } ->
+    Alcotest.failf "expected a grant, got %a" Wire.pp_response response
+  | Error m -> Alcotest.failf "bad response: %s" m
 
 let test_server_metrics_and_http () =
   with_server @@ fun ~path ~server:_ ->
@@ -1074,11 +1233,19 @@ let suites =
         qcheck prop_response_roundtrip;
         Alcotest.test_case "rejects bad version" `Quick
           test_wire_rejects_bad_version;
-        Alcotest.test_case "v1 gates the v2 ops" `Quick
-          test_wire_v1_gates_v2_ops;
+        Alcotest.test_case "v1/v2 refused" `Quick test_wire_old_versions_refused;
         Alcotest.test_case "rejects malformed requests" `Quick
           test_wire_rejects_bad_requests;
         Alcotest.test_case "allocate defaults" `Quick test_wire_alpha_defaults;
+        Alcotest.test_case "duplicate keys" `Quick
+          test_wire_rejects_duplicate_keys;
+        qcheck prop_decode_never_raises;
+        qcheck prop_truncated_requests_rejected;
+        qcheck prop_duplicate_key_rejected;
+        Alcotest.test_case "1 MB of nesting" `Quick test_wire_deep_nesting;
+        Alcotest.test_case "1 MB of distinct keys" `Quick test_wire_wide_object;
+        Alcotest.test_case "bad response shapes" `Quick
+          test_wire_bad_response_shapes;
       ] );
     ( "service.batcher",
       [
@@ -1095,12 +1262,15 @@ let suites =
       [
         Alcotest.test_case "allocate/status/release" `Quick
           test_server_allocate_release;
-        Alcotest.test_case "grow/shrink/renegotiate" `Quick
-          test_server_grow_shrink_renegotiate;
+        Alcotest.test_case "zero batch bound refused" `Quick
+          test_server_rejects_zero_batch;
+        Alcotest.test_case "grow and shrink" `Quick test_server_grow_shrink;
         Alcotest.test_case "wait threshold retry" `Quick
           test_server_wait_threshold_retry;
         Alcotest.test_case "bad requests answered in-band" `Quick
           test_server_bad_requests;
+        Alcotest.test_case "survives a hostile burst" `Quick
+          test_server_survives_hostile_burst;
         Alcotest.test_case "metrics op and http scrape" `Quick
           test_server_metrics_and_http;
         Alcotest.test_case "per-request control mode" `Quick

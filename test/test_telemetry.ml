@@ -425,7 +425,14 @@ let test_json_escapes_and_nesting () =
         ("nested", Json.Obj [ ("x", Json.Num (-0.125)) ]);
       ]
   in
-  Alcotest.(check bool) "round-trip" true (Json.of_string (Json.to_string v) = v)
+  Alcotest.(check bool) "round-trip" true (Json.of_string (Json.to_string v) = v);
+  let nest n = String.make n '[' ^ String.make n ']' in
+  Alcotest.(check bool) "512 levels parse" true
+    (match Json.of_string (nest 512) with Json.Arr _ -> true | _ -> false);
+  Alcotest.(check bool) "513 levels are refused" true
+    (match Json.of_string (nest 513) with
+    | _ -> false
+    | exception Failure _ -> true)
 
 let test_json_nonfinite_is_null () =
   Alcotest.(check string) "nan" "null" (Json.to_string (Json.Num nan));
