@@ -6,7 +6,7 @@
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- --quick # trimmed sweeps
      dune exec bench/main.exe -- fig4 table2 micro ...
-     dune exec bench/main.exe -- scale --domains 4 --baseline FILE
+     dune exec bench/main.exe -- scale --topk 32 --baseline FILE
 
    Absolute times come from a simulator, not the authors' testbed; the
    point of each section is the *shape* (who wins, by what factor). *)
@@ -183,8 +183,6 @@ let micro () =
                   every call (prices the dense kernels alone)
      dense-warm - Policies.allocate against a warm cache (the steady
                   state inside a scheduler tick)
-     dense-parN - dense-warm with the per-start candidate sweep on N
-                  OCaml domains (N from --domains, default 4)
    The V=8192/16384 engines (network-load-aware only — the exhaustive
    engines above do not complete there in bench time; K from --topk):
      pruned-warm-kK  - warm cache, Top_k K candidate starts
@@ -196,22 +194,22 @@ let micro () =
                        and allocates with Top_k K starts
      hier-warm       - the two-level allocator (engine Grouped), warm
    Results go to stdout and BENCH_allocator.json; --baseline FILE
-   compares the dense-warm/naive, dense-parN/dense-warm,
-   pruned-warm-kK/dense-warm, incr-kK/pruned-fresh-kK and
-   hier-warm/pruned-warm-kK speedups per (V, policy) against a
-   committed run and fails on a >2x regression. Speedup ratios, not raw
-   rates, keep the check machine-portable; engine keys carry the
-   starts-mode (and domain count), so runs with a different --topk or
-   --domains find no counterpart and are skipped rather than
-   mis-compared. --max-rss-mb M fails the run if resident memory
-   exceeds M after any size's cells (cache cleared, majors collected) —
-   the V=16384 cells must not accumulate retained model bundles. *)
+   compares the dense-warm/naive, pruned-warm-kK/dense-warm,
+   incr-kK/pruned-fresh-kK and hier-warm/pruned-warm-kK speedups per
+   (V, policy) against a committed run and fails on a >2x regression.
+   Speedup ratios, not raw rates, keep the check machine-portable;
+   engine keys carry the starts-mode, so runs with a different --topk
+   find no counterpart and are skipped rather than mis-compared. Rows
+   of an engine this bench does not run (the committed baseline still
+   holds parallel-sweep rows) form no ratio and are ignored.
+   --max-rss-mb M fails the run if resident memory exceeds M after any
+   size's cells (cache cleared, majors collected) — the V=16384 cells
+   must not accumulate retained model bundles. *)
 
 module Json = Rm_telemetry.Json
 module Matrix = Rm_stats.Matrix
 
 let baseline_file : string option ref = ref None
-let scale_domains = ref 4
 let scale_topk = ref 32
 let scale_max_rss_mb = ref 65536
 
@@ -276,7 +274,6 @@ type scale_engine =
   | Naive
   | Dense_cold
   | Dense_warm
-  | Dense_par
   | Pruned_warm
   | Pruned_fresh
   | Incr
@@ -287,14 +284,13 @@ type scale_engine =
    bench budget well before 8192. *)
 let scale_exhaustive_max_v = 4096
 
-let scale_engines = [ Naive; Dense_cold; Dense_warm; Dense_par ]
+let scale_engines = [ Naive; Dense_cold; Dense_warm ]
 let scale_incr_engines = [ Pruned_warm; Pruned_fresh; Incr; Hier_warm ]
 
 let engine_name = function
   | Naive -> "naive"
   | Dense_cold -> "dense-cold"
   | Dense_warm -> "dense-warm"
-  | Dense_par -> Printf.sprintf "dense-par%d" !scale_domains
   | Pruned_warm -> Printf.sprintf "pruned-warm-k%d" !scale_topk
   | Pruned_fresh -> Printf.sprintf "pruned-fresh-k%d" !scale_topk
   | Incr -> Printf.sprintf "incr-k%d" !scale_topk
@@ -303,8 +299,6 @@ let engine_name = function
 let has_prefix prefix e =
   String.length e >= String.length prefix
   && String.sub e 0 (String.length prefix) = prefix
-
-let is_par_engine e = has_prefix "dense-par" e
 
 type scale_row = {
   v : int;
@@ -341,11 +335,6 @@ let measure_cell ~budget_s ~snapshot ~weights ~request ~policy engine =
         ignore
           (Rm_core.Policies.allocate ~engine:flat ~policy ~snapshot ~weights
              ~request ~rng ())
-    | Dense_par ->
-      fun () ->
-        ignore
-          (Rm_core.Policies.allocate ~engine:flat ~ndomains:!scale_domains
-             ~policy ~snapshot ~weights ~request ~rng ())
     | Pruned_warm ->
       fun () ->
         ignore
@@ -410,11 +399,11 @@ let measure_cell ~budget_s ~snapshot ~weights ~request ~policy engine =
              ~snapshot:next ~weights ~request ~rng ());
         cur := next
   in
-  (* Warm the cache (and, for the parallel engine, the domain pool; for
-     incr, the initial full model build) outside the timed loop; the
-     other engines pay their full cost per call by design. *)
+  (* Warm the cache (for incr, the initial full model build) outside the
+     timed loop; the other engines pay their full cost per call by
+     design. *)
   (match engine with
-  | Dense_warm | Dense_par | Pruned_warm | Hier_warm | Incr -> run ()
+  | Dense_warm | Pruned_warm | Hier_warm | Incr -> run ()
   | Naive | Dense_cold | Pruned_fresh -> ());
   let t0 = Unix.gettimeofday () in
   let rec loop reps =
@@ -428,15 +417,14 @@ let measure_cell ~budget_s ~snapshot ~weights ~request ~policy engine =
   (float_of_int reps /. Float.max elapsed 1e-9, reps)
 
 (* Keyed (v, policy, kind): "dense-warm/naive" is the fast-path
-   headline, "dense-parN/dense-warm" isolates what the domain sweep
-   adds on top of it, "pruned-warm-kK/dense-warm" what start pruning
-   adds, "incr-kK/pruned-fresh-kK" what incremental NL maintenance adds
-   over a per-call rebuild, and "hier-warm/pruned-warm-kK" where the
+   headline, "pruned-warm-kK/dense-warm" what start pruning adds,
+   "incr-kK/pruned-fresh-kK" what incremental NL maintenance adds over
+   a per-call rebuild, and "hier-warm/pruned-warm-kK" where the
    two-level allocator sits relative to the pruned flat sweep. Kinds
-   keep the engine's domain count / starts-mode in the key, so a
-   --domains 8 or --topk 64 run is never regression-checked against a
-   baseline recorded with different knobs — mismatched keys simply find
-   no counterpart and are skipped. *)
+   keep the engine's starts-mode in the key, so a --topk 64 run is
+   never regression-checked against a baseline recorded with a
+   different K — mismatched keys simply find no counterpart and are
+   skipped. *)
 let scale_speedups rows =
   let find v policy pred =
     List.find_opt (fun r -> r.v = v && r.policy = policy && pred r.engine) rows
@@ -450,8 +438,6 @@ let scale_speedups rows =
     (fun r ->
       if r.engine = "dense-warm" then
         ratio r (String.equal "naive") "dense-warm/naive"
-      else if is_par_engine r.engine then
-        ratio r (String.equal "dense-warm") (r.engine ^ "/dense-warm")
       else if has_prefix "pruned-warm-k" r.engine then
         ratio r (String.equal "dense-warm") (r.engine ^ "/dense-warm")
       else if has_prefix "incr-k" r.engine then begin
@@ -562,7 +548,6 @@ let scale () =
     |> Option.fold ~none:nan ~some:(fun r -> r.rate)
   in
   let buf = Buffer.create 1024 in
-  let par_engine = engine_name Dense_par in
   let speedup_str v p kind =
     (* Sizes past scale_exhaustive_max_v have no dense-warm partner for
        the pruned/warm ratio — render a dash, not "nanx". *)
@@ -573,8 +558,7 @@ let scale () =
   Experiments.Render.table
     ~header:
       [
-        "V"; "policy"; "naive/s"; "dense-cold/s"; "dense-warm/s";
-        par_engine ^ "/s"; "speedup"; "par-speedup";
+        "V"; "policy"; "naive/s"; "dense-cold/s"; "dense-warm/s"; "speedup";
       ]
     ~rows:
       (List.concat_map
@@ -588,9 +572,7 @@ let scale () =
                  Printf.sprintf "%.1f" (rate_of v p "naive");
                  Printf.sprintf "%.1f" (rate_of v p "dense-cold");
                  Printf.sprintf "%.1f" (rate_of v p "dense-warm");
-                 Printf.sprintf "%.1f" (rate_of v p par_engine);
                  speedup_str v p "dense-warm/naive";
-                 speedup_str v p (par_engine ^ "/dense-warm");
                ])
              Rm_core.Policies.all)
          (List.filter (fun v -> v <= scale_exhaustive_max_v) sizes))
@@ -632,11 +614,9 @@ let scale () =
       [
         ("schema", Json.Str "rm-bench-allocator/v1");
         ("quick", Json.Bool !quick);
-        ("domains", Json.Num (float_of_int !scale_domains));
         ("topk", Json.Num (float_of_int !scale_topk));
-        (* The par-speedup ratio tracks host parallelism; recording the
-           core count lets a later --baseline run on different hardware
-           skip that comparison instead of failing spuriously. *)
+        (* Rates are only comparable on like hardware, so the artifact
+           names the host's core count. *)
         ( "cores",
           Json.Num (float_of_int (Domain.recommended_domain_count ())) );
         ( "request",
@@ -678,65 +658,16 @@ let scale () =
     in
     let base_json = Json.of_string contents in
     let base_speedups = scale_speedups (scale_rows_of_json base_json) in
-    (* Par-speedup ratios are sensitive to both the domain count (in
-       the key, so mismatches find no counterpart) and the host's core
-       count (recorded since schema v1 grew "cores"; absent in older
-       baselines). Comparing across either difference produces spurious
-       regressions, so those rows are skipped with a notice instead. *)
-    let cores = Domain.recommended_domain_count () in
-    let base_cores =
-      match Json.member "cores" base_json with
-      | Json.Null -> None
-      | j -> Some (Json.to_int j)
-    in
-    let is_par_kind kind =
-      String.length kind >= 9 && String.sub kind 0 9 = "dense-par"
-    in
-    let skipped_cores = ref 0 and skipped_domains = ref 0 in
     let regressions =
       List.filter_map
-        (fun (((v, p, kind) as key), base) ->
-          let par = is_par_kind kind in
-          if par && base_cores <> None && base_cores <> Some cores then begin
-            incr skipped_cores;
-            None
-          end
-          else
-            match List.assoc_opt key speedups with
-            | Some cur
-              when Float.is_finite base && base > 0.0 && cur < base /. 2.0 ->
-              Some (key, base, cur)
-            | Some _ -> None
-            | None ->
-              (* Attribute the miss: a par row measured in this run
-                 under a different domain count is a deliberate skip
-                 worth a notice; a (v, policy) this run never measured
-                 (e.g. --quick vs a full baseline) stays silent, as
-                 non-par rows always have. *)
-              if
-                par
-                && List.exists
-                     (fun ((v', p', k'), _) ->
-                       v' = v && p' = p && is_par_kind k')
-                     speedups
-              then incr skipped_domains;
-              None)
+        (fun (key, base) ->
+          match List.assoc_opt key speedups with
+          | Some cur
+            when Float.is_finite base && base > 0.0 && cur < base /. 2.0 ->
+            Some (key, base, cur)
+          | Some _ | None -> None)
         base_speedups
     in
-    if !skipped_cores > 0 then
-      Buffer.add_string buf
-        (Printf.sprintf
-           "baseline %s: %d par-speedup rows not compared (baseline host \
-            had %d cores, this one %d)\n"
-           file !skipped_cores
-           (Option.value ~default:0 base_cores)
-           cores);
-    if !skipped_domains > 0 then
-      Buffer.add_string buf
-        (Printf.sprintf
-           "baseline %s: %d par-speedup rows not compared (baseline domain \
-            count differs from --domains %d)\n"
-           file !skipped_domains !scale_domains);
     if regressions = [] then
       Buffer.add_string buf
         (Printf.sprintf "baseline %s: no policy regressed >2x in speedup\n"
@@ -1497,21 +1428,6 @@ let () =
       strip rest
     | "--baseline" :: file :: rest ->
       baseline_file := Some file;
-      strip rest
-    | "--domains" :: n :: rest ->
-      (match int_of_string_opt n with
-      | Some n when n >= 1 ->
-        (* Clamp here, not just inside the pool: the dense-parN engine
-           name and baseline key must reflect the domains actually in
-           play, and the clamp should be visible, as in rmctl. *)
-        let ceiling = Rm_core.Domain_pool.max_workers in
-        if n > ceiling then
-          Printf.eprintf "bench: --domains %d clamped to %d (pool ceiling)\n%!"
-            n ceiling;
-        scale_domains := min n ceiling
-      | _ ->
-        Printf.eprintf "--domains expects a positive integer, got %S\n%!" n;
-        exit 2);
       strip rest
     | "--topk" :: n :: rest ->
       (match int_of_string_opt n with

@@ -44,19 +44,8 @@ module Telemetry = Rm_telemetry
 
 (* --- common options -------------------------------------------------- *)
 
-let scenario_arg =
-  let parse s =
-    match Scenario.by_name s with
-    | Some sc -> Ok sc
-    | None ->
-      Error (`Msg (Printf.sprintf "unknown scenario %S (try: %s)" s
-                     (String.concat ", " Scenario.all_names)))
-  in
-  let print ppf (sc : Scenario.t) = Format.fprintf ppf "%s" sc.Scenario.name in
-  Arg.conv (parse, print)
-
 let scenario_t =
-  Arg.(value & opt scenario_arg Scenario.normal
+  Arg.(value & opt Cli_conv.scenario Scenario.normal
        & info [ "scenario" ] ~docv:"NAME" ~doc:"Background workload scenario.")
 
 let seed_t =
@@ -67,44 +56,24 @@ let time_t =
        & info [ "time" ] ~docv:"SECONDS"
            ~doc:"Simulated time at which to act (monitor warm-up is ~960s).")
 
-(* [conv] restricted to the values [ok] accepts, so a bad value is a
-   usage error naming its flag rather than an exception from the model. *)
-let checked conv ~expected ok =
-  let parse s =
-    match Arg.conv_parser conv s with
-    | Ok v when ok v -> Ok v
-    | Ok _ -> Error (`Msg (Printf.sprintf "%s expected, got %s" expected s))
-    | Error _ as e -> e
-  in
-  Arg.conv (parse, Arg.conv_printer conv)
-
-let positive_int = checked Arg.int ~expected:"a positive integer" (fun n -> n > 0)
-
 let procs_t =
-  Arg.(value & opt positive_int 32
+  Arg.(value & opt Cli_conv.positive_int 32
        & info [ "procs"; "n" ] ~docv:"N" ~doc:"Process count.")
 
 let ppn_t =
-  Arg.(value & opt (some positive_int) (Some 4)
+  Arg.(value & opt (some Cli_conv.positive_int) (Some 4)
        & info [ "ppn" ] ~docv:"N" ~doc:"Processes per node (omit to use Eq. 3).")
 
 let unit_float =
-  checked Arg.float ~expected:"a number in [0, 1]" (fun a -> a >= 0.0 && a <= 1.0)
+  Cli_conv.checked Arg.float ~expected:"a number in [0, 1]" (fun a ->
+      a >= 0.0 && a <= 1.0)
 
 let alpha_t =
   Arg.(value & opt unit_float 0.3
        & info [ "alpha" ] ~docv:"A" ~doc:"Eq. 4 compute weight; beta = 1 - alpha.")
 
-let policy_arg =
-  let parse s =
-    match Policies.of_name s with
-    | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown policy %S" s))
-  in
-  Arg.conv (parse, fun ppf p -> Format.fprintf ppf "%s" (Policies.name p))
-
 let policy_t =
-  Arg.(value & opt policy_arg Policies.Network_load_aware
+  Arg.(value & opt Cli_conv.policy Policies.Network_load_aware
        & info [ "policy" ] ~docv:"NAME"
            ~doc:"random | sequential | load-aware | network-load-aware.")
 
@@ -113,56 +82,18 @@ let app_t =
        & info [ "app" ] ~docv:"APP" ~doc:"minimd or minife.")
 
 let size_t =
-  Arg.(value & opt positive_int 16
+  Arg.(value & opt Cli_conv.positive_int 16
        & info [ "size" ] ~docv:"S" ~doc:"miniMD box edge s, or miniFE nx.")
 
-(* Evaluates to () after setting the process-wide domain default, so
-   commands list it like any other option; the dense candidate sweep
-   (and everything built on it: broker, scheduler) picks it up. *)
-let domains_t =
-  let set = function
-    | None -> ()
-    | Some n ->
-      if n < 1 then begin
-        Format.eprintf "--domains must be >= 1 (got %d)@." n;
-        exit 2
-      end;
-      (* set_default_domains clamps silently; surface it so the user is
-         not left believing more domains are in play than the pool
-         ceiling allows. *)
-      if n > Rm_core.Domain_pool.max_workers then
-        Format.eprintf "rmctl: --domains %d clamped to %d (pool ceiling)@." n
-          Rm_core.Domain_pool.max_workers;
-      Rm_core.Domain_pool.set_default_domains n
-  in
+(* Evaluates to () after setting the process-wide Dense_alloc starts
+   mode, so commands list it like any other option; the dense candidate
+   sweep (and everything built on it: broker, scheduler) picks it up. *)
+let knobs_t =
   Term.(
-    const set
+    const (Option.iter Rm_core.Dense_alloc.set_default_starts)
     $ Arg.(
         value
-        & opt (some int) None
-        & info [ "domains" ] ~docv:"N"
-            ~doc:
-              "OCaml domains for the dense per-start candidate sweep \
-               (default: $(b,RM_ALLOC_DOMAINS) or 1). Allocations are \
-               identical for every value; only the wall time changes."))
-
-(* Same shape for the start-pruning default: evaluates to () after
-   setting the process-wide Dense_alloc starts mode. *)
-let starts_t =
-  let set = function
-    | None -> ()
-    | Some s ->
-      (match Rm_core.Dense_alloc.parse_starts s with
-      | Ok st -> Rm_core.Dense_alloc.set_default_starts st
-      | Error msg ->
-        Format.eprintf "--starts: %s (got %S)@." msg s;
-        exit 2)
-  in
-  Term.(
-    const set
-    $ Arg.(
-        value
-        & opt (some string) None
+        & opt (some Cli_conv.starts) None
         & info [ "starts" ] ~docv:"K"
             ~doc:
               "Candidate start nodes for the network-load-aware sweep: \
@@ -171,9 +102,6 @@ let starts_t =
                only the top-K starts by the O(V) CL+degree proxy score. \
                Pruning trades a bounded score regret for an up-to-V/K \
                speedup."))
-
-(* The two allocator knobs ride together on every command. *)
-let knobs_t = Term.(const (fun () () -> ()) $ domains_t $ starts_t)
 
 (* --- environment ------------------------------------------------------ *)
 

@@ -11,27 +11,6 @@ module Broker = Rm_core.Broker
 module Server = Rm_service.Server
 module Telemetry = Rm_telemetry
 
-let scenario_arg =
-  let parse s =
-    match Scenario.by_name s with
-    | Some sc -> Ok sc
-    | None ->
-      Error
-        (`Msg
-           (Printf.sprintf "unknown scenario %S (try: %s)" s
-              (String.concat ", " Scenario.all_names)))
-  in
-  let print ppf (sc : Scenario.t) = Format.fprintf ppf "%s" sc.Scenario.name in
-  Arg.conv (parse, print)
-
-let policy_arg =
-  let parse s =
-    match Policies.of_name s with
-    | Some p -> Ok p
-    | None -> Error (`Msg (Printf.sprintf "unknown policy %S" s))
-  in
-  Arg.conv (parse, fun ppf p -> Format.fprintf ppf "%s" (Policies.name p))
-
 let socket_t =
   Arg.(value & opt string "/tmp/brokerd.sock"
        & info [ "socket" ] ~docv:"PATH"
@@ -43,7 +22,7 @@ let port_t =
            ~doc:"Listen on loopback TCP instead of the unix socket.")
 
 let scenario_t =
-  Arg.(value & opt scenario_arg Scenario.normal
+  Arg.(value & opt Cli_conv.scenario Scenario.normal
        & info [ "scenario" ] ~docv:"NAME" ~doc:"Background workload scenario.")
 
 let seed_t =
@@ -55,7 +34,7 @@ let time_t =
            ~doc:"Virtual start time (monitor warm-up is ~960s).")
 
 let nodes_t =
-  Arg.(value & opt (some int) None
+  Arg.(value & opt (some Cli_conv.positive_int) None
        & info [ "nodes" ] ~docv:"N"
            ~doc:"Homogeneous N-node cluster instead of the IIT-K reference.")
 
@@ -72,13 +51,13 @@ let virtual_tick_t =
            ~doc:"Virtual seconds the simulated world advances per refresh.")
 
 let max_pending_t =
-  Arg.(value & opt int 1024
+  Arg.(value & opt Cli_conv.positive_int 1024
        & info [ "max-pending" ] ~docv:"N"
            ~doc:"Admission queue bound; beyond it clients get retry \
                  (queue_full).")
 
 let max_batch_t =
-  Arg.(value & opt int 256
+  Arg.(value & opt Cli_conv.positive_int 256
        & info [ "max-batch" ] ~docv:"N"
            ~doc:"Most requests served from one queue take.")
 
@@ -89,23 +68,12 @@ let no_batch_t =
                  fresh monitor capture (for comparison runs; slow).")
 
 let policy_t =
-  Arg.(value & opt policy_arg Policies.Network_load_aware
+  Arg.(value & opt Cli_conv.policy Policies.Network_load_aware
        & info [ "policy" ] ~docv:"NAME"
            ~doc:"Default policy for requests that do not pick their own.")
 
-let starts_arg =
-  let parse s =
-    match Rm_core.Dense_alloc.parse_starts s with
-    | Ok st -> Ok st
-    | Error msg -> Error (`Msg msg)
-  in
-  let print ppf st =
-    Format.fprintf ppf "%s" (Rm_core.Dense_alloc.starts_label st)
-  in
-  Arg.conv (parse, print)
-
 let starts_t =
-  Arg.(value & opt (some starts_arg) None
+  Arg.(value & opt (some Cli_conv.starts) None
        & info [ "starts" ] ~docv:"K"
            ~doc:"Candidate start nodes for the network-load-aware sweep: \
                  $(b,all) (exhaustive; also $(b,RM_ALLOC_STARTS)) or a \

@@ -17,16 +17,9 @@
      O(V log V);
    - Eq. 4 candidate totals accumulate over dense matrix reads instead
      of hashtable-indexed pair walks;
-   - the V starts are independent greedy expansions over read-only
-     inputs (Algorithm 1 grows one candidate per start), so they are
-     swept in parallel across OCaml domains: contiguous chunks of
-     starts go to a reusable {!Domain_pool}, each worker ranks its
-     starts with private scratch buffers, and results land at
-     per-start slots of one output array — merged in ascending start
-     order, Eq. 4 normalization and the argmin (ties included) see
-     exactly the sequential ordering. Below {!par_v_threshold} usable
-     nodes the sweep is always sequential: at small V the pool
-     hand-off costs more than the whole sweep.
+   - the V starts run one after another through one shared set of
+     scratch buffers, in ascending start order, so Eq. 4 normalization
+     and the argmin (ties included) see exactly the naive ordering.
 
    Pruned starts ([~starts:(Top_k k)]) cut the other V factor: start
    nodes are ranked by a cheap O(V) α·CL + β·mean-NL-degree score and
@@ -40,13 +33,11 @@
 
    Equivalence of the exhaustive path is bit-exact, not just semantic:
    every float expression below reproduces the naive code's operation
-   order (same operands, same association), and each start's
-   arithmetic is confined to one worker, so candidate costs, Eq. 4
+   order (same operands, same association), so candidate costs, Eq. 4
    totals and therefore the argmin — including ties broken on start id
-   — are byte-identical for every domain count. test_core.ml holds
-   qcheck properties against the retained naive reference, across
-   ndomains ∈ {1, 2, 4}, and for the pruned path's subset/regret
-   contracts. *)
+   — are byte-identical. test_core.ml holds qcheck properties against
+   the retained naive reference, and for the pruned path's
+   subset/regret contracts. *)
 
 module Matrix = Rm_stats.Matrix
 module Telemetry = Rm_telemetry
@@ -71,9 +62,8 @@ let validate_starts = function
   | Top_k k ->
     if k < 1 then invalid_arg "Dense_alloc: Top_k starts must be >= 1"
 
-(* Process-wide default for the start-pruning mode, mirroring
-   Domain_pool's RM_ALLOC_DOMAINS knob. An unparseable env value falls
-   back to exhaustive (never silently prunes). *)
+(* Process-wide default for the start-pruning mode. An unparseable env
+   value falls back to exhaustive (never silently prunes). *)
 let default_starts_ref =
   ref
     (match Sys.getenv_opt "RM_ALLOC_STARTS" with
@@ -85,17 +75,6 @@ let default_starts () = !default_starts_ref
 let set_default_starts st =
   validate_starts st;
   default_starts_ref := st
-
-(* Below this many usable nodes the parallel sweep loses to the
-   sequential one (pool hand-off + per-worker scratch dominate the
-   V=60 sweep: dense-par4 measured ~0.73x dense-warm), so [ndomains]
-   is ignored and the sweep runs sequentially. *)
-let par_v_threshold = 128
-
-let domains_for ~v ~requested =
-  if requested < 1 then
-    invalid_arg "Dense_alloc.scored_all: ndomains must be >= 1";
-  if v < par_v_threshold then 1 else min requested v
 
 (* Binary min-heap over dense indices ordered by (cost, id). Dense
    order is ascending node id, so comparing indices breaks cost ties
@@ -122,10 +101,9 @@ let sift_down cost heap size i =
     end
   done
 
-(* Per-worker scratch: the heap-selection buffers are written across
-   the whole [0, v) range by every start, so parallel workers must not
-   share them (the sequential code reused one quadruple for all V
-   starts — safe only because the starts ran one after another). *)
+(* Heap-selection buffers, written across the whole [0, v) range by
+   every start; one set serves all starts of a sweep, which run one
+   after another. *)
 type scratch = {
   cost : float array;
   heap : int array;
@@ -184,7 +162,7 @@ let validate_nl ~ids ~nl =
     done;
     Weak.set last_valid_nl 0 (Some nl)
 
-let scored_all ?ndomains ?starts ~loads ~net ~capacity ~request () =
+let scored_all ?starts ~loads ~net ~capacity ~request () =
   let ids = Compute_load.dense_ids loads in
   let v = Array.length ids in
   if v = 0 then invalid_arg "Dense_alloc.scored_all: no usable nodes";
@@ -206,8 +184,7 @@ let scored_all ?ndomains ?starts ~loads ~net ~capacity ~request () =
     invalid_arg "Dense_alloc.scored_all: non-finite alpha/beta";
   let starts = match starts with Some s -> s | None -> default_starts () in
   validate_starts starts;
-  (* Shared read-only inputs, hoisted out of the start loop (and built
-     before any domain is involved — [capacity] may touch hashtables). *)
+  (* Shared read-only inputs, hoisted out of the start loop. *)
   let cl = Compute_load.dense_values loads in
   let alpha_cl = Array.map (fun c -> alpha *. c) cl in
   let caps = Array.map (fun node -> max 1 (capacity node)) ids in
@@ -278,8 +255,8 @@ let scored_all ?ndomains ?starts ~loads ~net ~capacity ~request () =
     (candidate, !compute, !network)
   in
   (* Algorithm 2's per-candidate-set normalization, verbatim from
-     Select.score; summing the merged array in its (ascending start)
-     order reproduces the sequential fold bit-for-bit. *)
+     Select.score; summing the array in its (ascending start) order
+     reproduces the naive fold bit-for-bit. *)
   let finalize results =
     let c_sum = ref 0.0 and n_sum = ref 0.0 in
     Array.iter
@@ -299,9 +276,8 @@ let scored_all ?ndomains ?starts ~loads ~net ~capacity ~request () =
   match starts with
   | Top_k k when k < v ->
     (* Pruned path: rank starts by the O(V) proxy score and expand the
-       best k sequentially (k is small; the parallel sweep's hand-off
-       would dominate). NL reads stay in factored form unless a
-       materialized matrix already exists — never force O(V²) here. *)
+       best k. NL reads stay in factored form unless a materialized
+       matrix already exists — never force O(V²) here. *)
     validate_cl ~ids ~cl;
     let pair_nl =
       let read =
@@ -360,44 +336,8 @@ let scored_all ?ndomains ?starts ~loads ~net ~capacity ~request () =
       done
     in
     let pair_nl a b = Matrix.get nl a b in
-    let nd =
-      let requested =
-        match ndomains with
-        | Some n -> n
-        | None -> Domain_pool.default_domains ()
-      in
-      domains_for ~v ~requested
-    in
-    let raw = Array.make v None in
-    if nd = 1 then begin
-      let scratch = make_scratch v in
-      for s = 0 to v - 1 do
-        raw.(s) <- Some (one_start ~fill_costs ~pair_nl scratch s)
-      done
-    end
-    else begin
-      (* Contiguous chunks keep each worker's NL row reads streaming and
-         make the output slots worker-disjoint. The pool silently clamps
-         oversized requests ([Domain_pool.max_workers]), so the chunk
-         size must come from the pool's actual worker count — chunking
-         over the requested [nd] would leave every start beyond
-         [size * chunk] uncomputed. *)
-      let pool = Domain_pool.get nd in
-      let nd = Domain_pool.size pool in
-      let chunk = (v + nd - 1) / nd in
-      Domain_pool.run pool (fun w ->
-          let lo = w * chunk in
-          let hi = min v (lo + chunk) in
-          if lo < hi then begin
-            let scratch = make_scratch v in
-            for s = lo to hi - 1 do
-              raw.(s) <- Some (one_start ~fill_costs ~pair_nl scratch s)
-            done
-          end)
-    end;
-    finalize
-      (Array.init v (fun s ->
-           match raw.(s) with Some r -> r | None -> assert false))
+    let scratch = make_scratch v in
+    finalize (Array.init v (one_start ~fill_costs ~pair_nl scratch))
 
-let best ?ndomains ?starts ~loads ~net ~capacity ~request () =
-  Select.best_scored (scored_all ?ndomains ?starts ~loads ~net ~capacity ~request ())
+let best ?starts ~loads ~net ~capacity ~request () =
+  Select.best_scored (scored_all ?starts ~loads ~net ~capacity ~request ())

@@ -11,27 +11,18 @@
     lookups per pair. O(V·(V + k log V)) instead of O(V² log V), with
     far smaller constants.
 
-    The V starts are independent (Algorithm 1 grows one candidate per
-    start over read-only models), so they are additionally swept in
-    parallel across OCaml domains: contiguous chunks of starts run on a
-    reusable {!Domain_pool}, each worker with private scratch buffers,
-    and per-start results merge in ascending start order — output is
-    bit-identical for every domain count. Below {!par_v_threshold}
-    usable nodes the sweep always runs sequentially (the pool hand-off
-    costs more than the sweep itself at small V).
-
     [~starts:(Top_k k)] additionally prunes the start sweep: candidate
     starts are ranked by a cheap O(V) α·CL + β·mean-NL-degree proxy and
-    only the best [k] expand (sequentially — k is small). Each
-    surviving candidate's raw Eq. 4 costs are bit-identical to its
-    exhaustive counterpart; only the per-candidate-set normalization
-    sees fewer candidates, so the chosen start can differ — the qcheck
-    regret property in test_core.ml bounds how much. The pruned path
-    reads NL in factored form and never materializes the O(V²) matrix.
+    only the best [k] expand. Each surviving candidate's raw Eq. 4
+    costs are bit-identical to its exhaustive counterpart; only the
+    per-candidate-set normalization sees fewer candidates, so the
+    chosen start can differ — the qcheck regret property in
+    test_core.ml bounds how much. The pruned path reads NL in factored
+    form and never materializes the O(V²) matrix.
 
     The naive pipeline is retained as the reference implementation;
     qcheck properties in test_core.ml assert equivalence across random
-    snapshots, weights and requests, and across ndomains ∈ {1, 2, 4}. *)
+    snapshots, weights and requests. *)
 
 type starts =
   | All  (** exhaustive sweep: every usable node starts a candidate *)
@@ -55,20 +46,7 @@ val default_starts : unit -> starts
 val set_default_starts : starts -> unit
 (** Raises [Invalid_argument] for [Top_k k] with [k < 1]. *)
 
-val par_v_threshold : int
-(** Usable-node count below which the start sweep ignores [ndomains]
-    and runs sequentially — at small V the domain-pool hand-off costs
-    more than the whole sweep (dense-par4 measured slower than
-    dense-warm at V=60). *)
-
-val domains_for : v:int -> requested:int -> int
-(** The worker count the exhaustive sweep will actually use for [v]
-    usable nodes: 1 below {!par_v_threshold}, else [min requested v]
-    (the pool may clamp further). Raises [Invalid_argument] when
-    [requested < 1]. Exposed so tests can pin the fallback. *)
-
 val scored_all :
-  ?ndomains:int ->
   ?starts:starts ->
   loads:Compute_load.t ->
   net:Network_load.t ->
@@ -77,20 +55,15 @@ val scored_all :
   unit ->
   Select.scored list
 (** [loads] and [net] must come from the same snapshot (their usable
-    sets must coincide). [ndomains] defaults to
-    {!Domain_pool.default_domains} (the [RM_ALLOC_DOMAINS] /
-    [--domains] knob) and is capped at the number of usable nodes;
-    it only applies to the exhaustive path ({!domains_for}).
-    [starts] defaults to {!default_starts}; with [Top_k k < V] the
-    result lists only the [k] expanded candidates (still in ascending
-    start-id order). Raises [Invalid_argument] when no node is usable,
-    the models disagree, [ndomains < 1], [Top_k k < 1], the request's
-    process count is not positive, or any CL/NL model value consulted
-    is non-finite (a NaN cost would silently corrupt the heap order
-    and diverge from the naive compare-based sort). *)
+    sets must coincide). [starts] defaults to {!default_starts}; with
+    [Top_k k < V] the result lists only the [k] expanded candidates
+    (still in ascending start-id order). Raises [Invalid_argument] when
+    no node is usable, the models disagree, [Top_k k < 1], the
+    request's process count is not positive, or any CL/NL model value
+    consulted is non-finite (a NaN cost would silently corrupt the heap
+    order and diverge from the naive compare-based sort). *)
 
 val best :
-  ?ndomains:int ->
   ?starts:starts ->
   loads:Compute_load.t ->
   net:Network_load.t ->

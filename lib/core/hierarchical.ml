@@ -127,7 +127,7 @@ let group_score ~gnl ~request selected =
   in
   (alpha *. compute) +. (beta *. network)
 
-let allocate ?(dense = true) ?ndomains ?starts ?(policy_label = "hierarchical")
+let allocate ?(dense = true) ?starts ?(policy_label = "hierarchical")
     ~snapshot ~weights ~request () =
   let models = if dense then Some (Model_cache.get snapshot ~weights) else None in
   let loads =
@@ -160,7 +160,7 @@ let allocate ?(dense = true) ?ndomains ?starts ?(policy_label = "hierarchical")
       let net = Network_load.of_snapshot restricted ~weights in
       let best =
         if dense then
-          Dense_alloc.best ?ndomains ?starts ~loads ~net ~capacity ~request ()
+          Dense_alloc.best ?starts ~loads ~net ~capacity ~request ()
         else
           let candidates =
             Candidate.generate_all ~loads ~net ~capacity ~request

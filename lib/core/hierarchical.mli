@@ -31,7 +31,6 @@ val group_network_load : Network_load.t -> group -> group -> float
 
 val allocate :
   ?dense:bool ->
-  ?ndomains:int ->
   ?starts:Dense_alloc.starts ->
   ?policy_label:string ->
   snapshot:Rm_monitor.Snapshot.t ->
@@ -46,8 +45,8 @@ val allocate :
     [dense] (default true) routes the top-level models through
     {!Model_cache} and the flat stage through the {!Dense_alloc}
     kernels; [~dense:false] is the retained naive reference. Both paths
-    return identical allocations. [ndomains] and [starts] are forwarded
-    to the flat {!Dense_alloc} stage (the naive reference stays
-    exhaustive). [policy_label] (default ["hierarchical"]) names the
-    resulting allocation's policy — {!Policies.allocate} passes the
-    requesting policy's name when it auto-routes large clusters here. *)
+    return identical allocations. [starts] is forwarded to the flat
+    {!Dense_alloc} stage (the naive reference stays exhaustive).
+    [policy_label] (default ["hierarchical"]) names the resulting
+    allocation's policy — {!Policies.allocate} passes the requesting
+    policy's name when it auto-routes large clusters here. *)

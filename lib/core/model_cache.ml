@@ -16,11 +16,10 @@
    are pure functions of (snapshot, weights), so hits are observably
    identical to rebuilding.
 
-   The hit/miss counters are Atomic so concurrent readers in a
-   domain-parallel sweep never tear them; the slot array itself is
-   still effectively single-writer (the scheduler/broker tick), as in
-   the rest of rm_core — snapshots must not be mutated in place after
-   first being scored. *)
+   The hit/miss counters are Atomic so readers on several domains never
+   tear them; the slot array itself is effectively single-writer (the
+   scheduler/broker tick), as in the rest of rm_core — snapshots must
+   not be mutated in place after first being scored. *)
 
 module Snapshot = Rm_monitor.Snapshot
 module Telemetry = Rm_telemetry

@@ -32,17 +32,8 @@ type engine = Auto | Flat | Grouped
    through the two-level Hierarchical.allocate: the flat sweep's
    O(V²) work per decision stops being interactive around a few
    thousand nodes even pruned, while the grouped path stays O(G²) at
-   the top level. Overridable for tests/operators via the setter or
-   RM_ALLOC_HIER_THRESHOLD. *)
-let auto_hier_threshold =
-  ref
-    (match
-       Option.bind
-         (Sys.getenv_opt "RM_ALLOC_HIER_THRESHOLD")
-         int_of_string_opt
-     with
-    | Some n when n >= 1 -> n
-    | Some _ | None -> 2048)
+   the top level. The setter exists for the routing test. *)
+let auto_hier_threshold = ref 2048
 
 let auto_hierarchical_threshold () = !auto_hier_threshold
 
@@ -152,7 +143,7 @@ let record_audit ~snapshot ~policy ~request ~loads ~pc ~scored ~chosen ~result
       decision;
     }
 
-let allocate_impl ?(stale_excluded = []) ?ndomains ?starts ?(engine = Auto)
+let allocate_impl ?(stale_excluded = []) ?starts ?(engine = Auto)
     ~dense ~policy ~snapshot ~weights ~request ~rng () =
   let instrumented = Telemetry.Runtime.is_enabled () in
   let wall0 = if instrumented then Sys.time () else 0.0 in
@@ -216,8 +207,8 @@ let allocate_impl ?(stale_excluded = []) ?ndomains ?starts ?(engine = Auto)
            reroutes, so equivalence properties compare like with
            like). No flat candidate sweep runs, so there is no scored
            table to audit. *)
-        ( Hierarchical.allocate ~dense ?ndomains ?starts
-            ~policy_label:(name policy) ~snapshot ~weights ~request (),
+        ( Hierarchical.allocate ~dense ?starts ~policy_label:(name policy)
+            ~snapshot ~weights ~request (),
           [],
           None )
       | Network_load_aware ->
@@ -228,8 +219,7 @@ let allocate_impl ?(stale_excluded = []) ?ndomains ?starts ?(engine = Auto)
         in
         let scored =
           if dense then
-            Dense_alloc.scored_all ?ndomains ?starts ~loads ~net ~capacity
-              ~request ()
+            Dense_alloc.scored_all ?starts ~loads ~net ~capacity ~request ()
           else
             let candidates =
               Candidate.generate_all ~loads ~net ~capacity ~request
@@ -246,8 +236,7 @@ let allocate_impl ?(stale_excluded = []) ?ndomains ?starts ?(engine = Auto)
           audit_scored,
           Some best.Select.candidate.Candidate.start )
       | Hierarchical ->
-        ( Hierarchical.allocate ~dense ?ndomains ?starts ~snapshot ~weights
-            ~request (),
+        ( Hierarchical.allocate ~dense ?starts ~snapshot ~weights ~request (),
           [],
           None )
     in
@@ -267,15 +256,14 @@ let allocate_impl ?(stale_excluded = []) ?ndomains ?starts ?(engine = Auto)
     result
   end
 
-let allocate_audited ?ndomains ?starts ?engine ~stale_excluded ~policy
-    ~snapshot ~weights ~request ~rng () =
-  allocate_impl ~stale_excluded ?ndomains ?starts ?engine ~dense:true ~policy
-    ~snapshot ~weights ~request ~rng ()
-
-let allocate ?ndomains ?starts ?engine ~policy ~snapshot ~weights ~request ~rng
-    () =
-  allocate_impl ?ndomains ?starts ?engine ~dense:true ~policy ~snapshot
+let allocate_audited ?starts ?engine ~stale_excluded ~policy ~snapshot
+    ~weights ~request ~rng () =
+  allocate_impl ~stale_excluded ?starts ?engine ~dense:true ~policy ~snapshot
     ~weights ~request ~rng ()
+
+let allocate ?starts ?engine ~policy ~snapshot ~weights ~request ~rng () =
+  allocate_impl ?starts ?engine ~dense:true ~policy ~snapshot ~weights ~request
+    ~rng ()
 
 let allocate_naive ~policy ~snapshot ~weights ~request ~rng =
   allocate_impl ~dense:false ~policy ~snapshot ~weights ~request ~rng ()

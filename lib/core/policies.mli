@@ -39,14 +39,14 @@ type engine =
 val auto_hierarchical_threshold : unit -> int
 (** Usable-node count above which [Auto] routes the
     network-and-load-aware policy through {!Hierarchical.allocate}
-    (default 2048; initial value overridable via the
-    [RM_ALLOC_HIER_THRESHOLD] environment variable). *)
+    (2048). *)
 
 val set_auto_hierarchical_threshold : int -> unit
-(** Raises [Invalid_argument] below 1. *)
+(** Moves the threshold so the routing test can reach both sides of it
+    on a small cluster; nothing else sets it. Raises
+    [Invalid_argument] below 1. *)
 
 val allocate :
-  ?ndomains:int ->
   ?starts:Dense_alloc.starts ->
   ?engine:engine ->
   policy:policy ->
@@ -64,10 +64,7 @@ val allocate :
     Models (Eq. 1/2/3) come from {!Model_cache} — repeated calls
     against the same snapshot and weights share one build — and the
     network-and-load-aware policy runs on the {!Dense_alloc} kernels,
-    sweeping its per-start candidate loop across [ndomains] OCaml
-    domains (default {!Domain_pool.default_domains}, the
-    [RM_ALLOC_DOMAINS] / [--domains] knob). Output is byte-identical
-    to {!allocate_naive} for every domain count.
+    whose exhaustive sweep is byte-identical to {!allocate_naive}.
 
     [starts] (default {!Dense_alloc.default_starts}, the
     [RM_ALLOC_STARTS] / [--starts] knob) prunes the candidate-start
@@ -79,7 +76,6 @@ val allocate :
     network-and-load-aware and hierarchical policies. *)
 
 val allocate_audited :
-  ?ndomains:int ->
   ?starts:Dense_alloc.starts ->
   ?engine:engine ->
   stale_excluded:int list ->

@@ -41,31 +41,19 @@ let family_of_name = function
   | "malleable" -> Some (Malleable_family Scenario.normal)
   | other -> Option.map (fun sc -> Background sc) (Scenario.by_name other)
 
-type engine = Naive | Dense | Dense_par of int | Hier | Auto
+type engine = Naive | Dense | Hier | Auto
 
 let engine_name = function
   | Naive -> "naive"
   | Dense -> "dense"
-  | Dense_par n -> Printf.sprintf "dense-par%d" n
   | Hier -> "hierarchical"
   | Auto -> "auto"
-
-let dense_par_prefix = "dense-par"
 
 let engine_of_name = function
   | "naive" -> Some Naive
   | "dense" -> Some Dense
   | "hierarchical" -> Some Hier
   | "auto" -> Some Auto
-  | s when String.starts_with ~prefix:dense_par_prefix s -> (
-    let rest =
-      String.sub s
-        (String.length dense_par_prefix)
-        (String.length s - String.length dense_par_prefix)
-    in
-    match int_of_string_opt rest with
-    | Some n when n >= 1 -> Some (Dense_par n)
-    | _ -> None)
   | _ -> None
 
 type budget = { alloc_budget_s : float; job_count : int }
@@ -109,7 +97,7 @@ let full_spec =
         "malleable";
       ];
     policies = [ "random"; "load-aware"; "network-load-aware" ];
-    engines = [ "naive"; "dense"; "dense-par4"; "hierarchical"; "auto" ];
+    engines = [ "naive"; "dense"; "hierarchical"; "auto" ];
     budget = { alloc_budget_s = 0.5; job_count = 10 };
     rules =
       [
@@ -119,19 +107,7 @@ let full_spec =
         {
           on_scenario = None;
           on_policy = Some "random";
-          on_engine = Some "dense-par4";
-          action = Skip "engine-invariant policy";
-        };
-        {
-          on_scenario = None;
-          on_policy = Some "random";
           on_engine = Some "auto";
-          action = Skip "engine-invariant policy";
-        };
-        {
-          on_scenario = None;
-          on_policy = Some "load-aware";
-          on_engine = Some "dense-par4";
           action = Skip "engine-invariant policy";
         };
         {
@@ -431,11 +407,8 @@ let allocate_with ~engine ~policy ~snapshot ~weights ~request ~rng =
   match engine with
   | Naive -> Policies.allocate_naive ~policy ~snapshot ~weights ~request ~rng
   | Dense ->
-    Policies.allocate ~ndomains:1 ~engine:Policies.Flat ~policy ~snapshot
-      ~weights ~request ~rng ()
-  | Dense_par n ->
-    Policies.allocate ~ndomains:n ~engine:Policies.Flat ~policy ~snapshot
-      ~weights ~request ~rng ()
+    Policies.allocate ~engine:Policies.Flat ~policy ~snapshot ~weights ~request
+      ~rng ()
   | Hier ->
     Policies.allocate ~engine:Policies.Grouped ~policy ~snapshot ~weights
       ~request ~rng ()

@@ -52,14 +52,13 @@ val family_names : string list
 
 type engine =
   | Naive  (** {!Rm_core.Policies.allocate_naive}, the reference path *)
-  | Dense  (** the flat dense sweep, single domain *)
-  | Dense_par of int  (** flat dense sweep across N domains *)
+  | Dense  (** always the flat dense sweep *)
   | Hier  (** always the two-level {!Rm_core.Hierarchical} allocator *)
   | Auto  (** threshold routing, the production default *)
 
 val engine_name : engine -> string
 val engine_of_name : string -> engine option
-(** [naive], [dense], [dense-parN] (N ≥ 1), [hierarchical], [auto]. *)
+(** [naive], [dense], [hierarchical], [auto]. *)
 
 type budget = {
   alloc_budget_s : float;
@@ -101,7 +100,7 @@ val quick_spec : spec
 
 val full_spec : spec
 (** The full sweep: 6 scenario families (adds diurnal and
-    trace-replay) × 3 policies × 5 engines (adds dense-par4 and auto),
+    trace-replay) × 3 policies × 4 engines (adds auto),
     with skip rules for redundant engine × policy combinations. *)
 
 val validate_spec : spec -> (unit, string) result

@@ -835,9 +835,53 @@ let handle_request t = function
   | Wire.Status -> Wire.Status_info (status_info t)
   | Wire.Metrics -> Wire.Metrics_text (Telemetry.Prometheus.render_registry ())
 
+(* The longest request line a connection may send. Past it the rest of
+   the line is read and dropped, so one client cannot make the daemon
+   hold more than this of it. *)
+let max_line_bytes = 65_536
+
+(* [input_line] with that bound: [`Line l] without its newline (a final
+   unterminated line counts), or [`Too_long] once the line has passed
+   [max_line_bytes] and the rest of it has been skipped. Raises
+   End_of_file at end of input, as [input_line] does. *)
+let read_line ic =
+  let buf = Buffer.create 256 in
+  let rec skip () =
+    match input_char ic with
+    | '\n' -> ()
+    | _ -> skip ()
+    | exception End_of_file -> ()
+  in
+  let rec go () =
+    match input_char ic with
+    | '\n' -> `Line (Buffer.contents buf)
+    | _ when Buffer.length buf >= max_line_bytes ->
+      skip ();
+      `Too_long
+    | c ->
+      Buffer.add_char buf c;
+      go ()
+    | exception End_of_file ->
+      if Buffer.length buf = 0 then raise End_of_file
+      else `Line (Buffer.contents buf)
+  in
+  go ()
+
 let handle_line t line =
   Metrics.incr m_requests;
-  match Wire.decode_request line with
+  let decoded =
+    match line with
+    | `Line line -> Wire.decode_request line
+    | `Too_long ->
+      Error
+        {
+          Wire.err_id = None;
+          code = Wire.Bad_request;
+          message =
+            Printf.sprintf "request line longer than %d bytes" max_line_bytes;
+        }
+  in
+  match decoded with
   | Ok { req_id; request } ->
     Wire.encode_response { resp_id = req_id; response = handle_request t request }
   | Error { err_id; code; message } ->
@@ -862,7 +906,11 @@ let http_response ~status ~content_type body =
 let serve_http t ic oc first_line =
   (* Drain request headers so the peer's write side is not reset. *)
   (try
-     while String.trim (input_line ic) <> "" do
+     while
+       match read_line ic with
+       | `Line l -> String.trim l <> ""
+       | `Too_long -> true
+     do
        ()
      done
    with End_of_file -> ());
@@ -901,14 +949,14 @@ let worker t fd =
       let ic = Unix.in_channel_of_descr fd in
       let oc = Unix.out_channel_of_descr fd in
       try
-        match input_line ic with
-        | first when is_http_line first -> serve_http t ic oc first
+        match read_line ic with
+        | `Line first when is_http_line first -> serve_http t ic oc first
         | first ->
           let rec loop line =
             output_string oc (handle_line t line);
             output_char oc '\n';
             flush oc;
-            loop (input_line ic)
+            loop (read_line ic)
           in
           loop first
       with End_of_file | Sys_error _ | Unix.Unix_error _ -> ())

@@ -1,10 +1,9 @@
 type kind = Counter | Gauge | Histogram
 
 (* Cells are [Atomic.t] and the registry is mutex-guarded so metrics
-   stay coherent when future code mutates them from several domains
-   (ROADMAP: domain-parallel sweeps). Contended float adds go through a
-   CAS loop on the boxed value; the disabled path is still a single
-   [Runtime.is_enabled] load per site. *)
+   stay coherent when several threads or domains update them.
+   Contended float adds go through a CAS loop on the boxed value; the
+   disabled path is still a single [Runtime.is_enabled] load per site. *)
 type t = {
   name : string;
   labels : (string * string) list;  (* sorted *)

@@ -23,7 +23,6 @@ module Brute_force = Rm_core.Brute_force
 module Broker = Rm_core.Broker
 module Dense_alloc = Rm_core.Dense_alloc
 module Model_cache = Rm_core.Model_cache
-module Domain_pool = Rm_core.Domain_pool
 module Nl_delta = Rm_core.Nl_delta
 
 let check_float = Alcotest.(check (float 1e-9))
@@ -888,9 +887,8 @@ let prop_dense_scored_table_bit_identical =
              && Float.equal d.Select.total s.Select.total)
            dense naive)
 
-(* Like [random_fixture] but at a caller-chosen node count: the
-   parallel-sweep properties need V >= Dense_alloc.par_v_threshold or
-   the sequential fallback silently stops exercising the domain pool.
+(* Like [random_fixture] but at a caller-chosen node count: the pruned
+   regret property needs tens of nodes, where pruning operates.
    Degradations are sparser (the pair count is quadratic in n). *)
 let sized_random_fixture rng n =
   let nswitches = 1 + Rng.int rng 4 in
@@ -915,72 +913,6 @@ let sized_random_fixture rng n =
   done;
   snap
 
-(* The parallel sweep must not merely agree with the sequential one in
-   which allocation wins — the whole scored table must be bit-identical
-   for every domain count, or a tie could break differently depending
-   on how many cores the host happens to have. *)
-let prop_dense_parallel_bit_identical =
-  QCheck.Test.make
-    ~name:"parallel scored_all is bit-identical for ndomains in {1, 2, 4}"
-    ~count:25
-    (QCheck.make QCheck.Gen.(int_bound 1_000_000))
-    (fun seed ->
-      let rng = Rng.create seed in
-      let snap =
-        sized_random_fixture rng
-          (Dense_alloc.par_v_threshold + Rng.int rng 16)
-      in
-      let request = random_request rng in
-      let weights =
-        match Rng.int rng 4 with
-        | 0 -> Weights.paper_default
-        | 1 -> Weights.compute_intensive
-        | 2 -> Weights.network_intensive
-        | _ -> Weights.latency_sensitive
-      in
-      let cl = Compute_load.of_snapshot snap ~weights in
-      let nl = Network_load.of_snapshot snap ~weights in
-      let capacity = capacity_of snap request in
-      let run ndomains =
-        Dense_alloc.scored_all ~ndomains ~loads:cl ~net:nl ~capacity ~request ()
-      in
-      let seq = run 1 in
-      List.for_all
-        (fun ndomains ->
-          let par = run ndomains in
-          List.length par = List.length seq
-          && List.for_all2
-               (fun (a : Select.scored) (b : Select.scored) ->
-                 a.Select.candidate = b.Select.candidate
-                 && Float.equal a.Select.compute_cost b.Select.compute_cost
-                 && Float.equal a.Select.network_cost b.Select.network_cost
-                 && Float.equal a.Select.total b.Select.total)
-               par seq)
-        [ 2; 4 ])
-
-(* Regression: ndomains above the pool ceiling used to chunk the V
-   starts over the *requested* count while Domain_pool.get silently
-   clamped the actual worker count, so every start beyond
-   [max_workers * chunk] was never computed and the merge died with
-   Assert_failure (reachable via `bench scale --domains 20` or any
-   Policies.allocate ~ndomains). Needs V > max_workers: smaller V
-   clamps ndomains to V before the pool is involved — and now also
-   V >= par_v_threshold, or the sequential fallback skips the pool. *)
-let test_dense_parallel_oversized_ndomains () =
-  let n = max Dense_alloc.par_v_threshold Domain_pool.max_workers + 4 in
-  let snap = fixture (List.init n (fun i -> (8, float_of_int (i mod 5)))) in
-  let cl = Compute_load.of_snapshot snap ~weights in
-  let nl = Network_load.of_snapshot snap ~weights in
-  let request = Request.make ~ppn:4 ~procs:24 () in
-  let capacity = capacity_of snap request in
-  let run ndomains =
-    Dense_alloc.scored_all ~ndomains ~loads:cl ~net:nl ~capacity ~request ()
-  in
-  let seq = run 1 in
-  let par = run (2 * Domain_pool.max_workers) in
-  Alcotest.(check bool)
-    "oversized ndomains is clamped, output bit-identical" true (par = seq)
-
 (* Regression: a NaN in the NL matrix used to corrupt the heap's float
    ordering silently (both [<] and [=] are false on NaN), making the
    dense path quietly diverge from the naive compare-based sort. Now it
@@ -1002,42 +934,6 @@ let test_dense_rejects_nonfinite_nl () =
     Alcotest.(check bool)
       "message names the model" true
       (String.length msg >= 13 && String.sub msg 0 13 = "Dense_alloc.s")
-
-(* --- Domain pool ------------------------------------------------------------- *)
-
-let test_domain_pool_runs_every_worker () =
-  let pool = Domain_pool.get 4 in
-  Alcotest.(check int) "size clamped to request" 4 (Domain_pool.size pool);
-  let hits = Array.make 4 0 in
-  Domain_pool.run pool (fun w -> hits.(w) <- hits.(w) + 1);
-  Alcotest.(check (array int)) "each worker ran once" [| 1; 1; 1; 1 |] hits;
-  (* Reuse: same pool object, fresh job. *)
-  Alcotest.(check bool) "pools are memoized per size" true
-    (pool == Domain_pool.get 4);
-  Domain_pool.run pool (fun w -> hits.(w) <- hits.(w) + 10);
-  Alcotest.(check (array int)) "reused for a second job" [| 11; 11; 11; 11 |]
-    hits
-
-let test_domain_pool_propagates_exceptions () =
-  let pool = Domain_pool.get 2 in
-  (match Domain_pool.run pool (fun w -> if w = 1 then failwith "boom") with
-  | () -> Alcotest.fail "expected the worker's exception"
-  | exception Failure msg -> Alcotest.(check string) "message" "boom" msg);
-  (* The failed job must not wedge the pool. *)
-  let total = Atomic.make 0 in
-  Domain_pool.run pool (fun w -> ignore (Atomic.fetch_and_add total (w + 1)));
-  Alcotest.(check int) "pool still works after a failure" 3 (Atomic.get total)
-
-let test_domain_pool_default_knob () =
-  let before = Domain_pool.default_domains () in
-  Fun.protect
-    ~finally:(fun () -> Domain_pool.set_default_domains before)
-    (fun () ->
-      Domain_pool.set_default_domains 3;
-      Alcotest.(check int) "set/get" 3 (Domain_pool.default_domains ());
-      Alcotest.check_raises "rejects < 1"
-        (Invalid_argument "Domain_pool.set_default_domains: need n >= 1")
-        (fun () -> Domain_pool.set_default_domains 0))
 
 (* --- Model cache ------------------------------------------------------------- *)
 
@@ -1379,27 +1275,18 @@ let test_model_cache_counters_domain_safe () =
   let snap = fixture [ (8, 1.0); (8, 2.0) ] in
   ignore (Model_cache.get snap ~weights);
   let h0 = Model_cache.hits () in
-  let pool = Domain_pool.get 4 in
-  Domain_pool.run pool (fun _w ->
-      for _ = 1 to 500 do
-        ignore (Model_cache.get snap ~weights)
-      done);
+  let spawned =
+    List.init 4 (fun _ ->
+        Domain.spawn (fun () ->
+            for _ = 1 to 500 do
+              ignore (Model_cache.get snap ~weights)
+            done))
+  in
+  List.iter Domain.join spawned;
   Alcotest.(check int) "no hit increments lost across domains" (h0 + 2000)
     (Model_cache.hits ())
 
 (* --- Pruned candidate starts --------------------------------------------------- *)
-
-let test_dense_sequential_fallback_pins () =
-  Alcotest.(check int) "par_v_threshold value" 128 Dense_alloc.par_v_threshold;
-  Alcotest.(check int) "below the threshold: sequential" 1
-    (Dense_alloc.domains_for ~v:(Dense_alloc.par_v_threshold - 1) ~requested:8);
-  Alcotest.(check int) "at the threshold: parallel" 8
-    (Dense_alloc.domains_for ~v:Dense_alloc.par_v_threshold ~requested:8);
-  Alcotest.(check int) "clamped to v" 200
-    (Dense_alloc.domains_for ~v:200 ~requested:500);
-  Alcotest.check_raises "rejects requested < 1"
-    (Invalid_argument "Dense_alloc.scored_all: ndomains must be >= 1")
-    (fun () -> ignore (Dense_alloc.domains_for ~v:200 ~requested:0))
 
 (* Pruning only skips starts: each surviving candidate and its raw
    Eq. 4 costs must be bit-identical to its exhaustive counterpart
@@ -1743,13 +1630,8 @@ let suites =
       [
         qcheck prop_dense_matches_naive;
         qcheck prop_dense_scored_table_bit_identical;
-        qcheck prop_dense_parallel_bit_identical;
-        Alcotest.test_case "oversized ndomains clamps to the pool" `Quick
-          test_dense_parallel_oversized_ndomains;
         Alcotest.test_case "rejects non-finite NL" `Quick
           test_dense_rejects_nonfinite_nl;
-        Alcotest.test_case "sequential fallback below par_v_threshold" `Quick
-          test_dense_sequential_fallback_pins;
         qcheck prop_pruned_subset_costs_exact;
         qcheck prop_pruned_topk_ge_v_is_exhaustive;
         qcheck prop_pruned_regret_bounded;
@@ -1759,14 +1641,6 @@ let suites =
           test_pruned_rejects_nonfinite_nl;
         Alcotest.test_case "starts parse + default knob" `Quick
           test_starts_parse_and_default_knob;
-      ] );
-    ( "core.domain_pool",
-      [
-        Alcotest.test_case "runs every worker" `Quick
-          test_domain_pool_runs_every_worker;
-        Alcotest.test_case "propagates exceptions" `Quick
-          test_domain_pool_propagates_exceptions;
-        Alcotest.test_case "default knob" `Quick test_domain_pool_default_knob;
       ] );
     ( "core.model_cache",
       [

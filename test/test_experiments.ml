@@ -447,7 +447,7 @@ let test_matrix_spec_validation () =
   Alcotest.(check bool) "unknown policy rejected" true
     (bad { tiny_spec with Emat.policies = [ "psychic" ] });
   Alcotest.(check bool) "unknown engine rejected" true
-    (bad { tiny_spec with Emat.engines = [ "dense-par0" ] });
+    (bad { tiny_spec with Emat.engines = [ "dense-par4" ] });
   Alcotest.(check bool) "empty axis rejected" true
     (bad { tiny_spec with Emat.engines = [] });
   Alcotest.(check bool) "zero jobs rejected" true
@@ -455,9 +455,7 @@ let test_matrix_spec_validation () =
        {
          tiny_spec with
          Emat.budget = { Emat.alloc_budget_s = 0.0; job_count = 0 };
-       });
-  Alcotest.(check bool) "dense-parN parses" true
-    (Emat.engine_of_name "dense-par4" = Some (Emat.Dense_par 4))
+       })
 
 (* --- gate semantics, on hand-built artifacts --------------------------- *)
 

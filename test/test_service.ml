@@ -753,7 +753,8 @@ let test_server_bad_requests () =
 (* A burst of hostile lines on one connection: each gets its own
    in-band error (with the id whenever one is recoverable), and the same
    connection then gets a grant — the worker and the tick thread both
-   survived. *)
+   survived. Lines past Server.max_line_bytes are answered without
+   being decoded. *)
 let test_server_survives_hostile_burst () =
   with_server @@ fun ~path ~server:_ ->
   let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
@@ -778,6 +779,11 @@ let test_server_survives_hostile_burst () =
       ({|{"v":1,"id":14,"op":"allocate","procs":8}|}, 14, Wire.Unsupported_version);
       ( v3 {|"id":15,"op":"renegotiate","alloc":1,"min":2,"pref":4,"max":8|},
         15,
+        Wire.Bad_request );
+      (* A valid status request padded past the line bound with a key
+         the decoder would ignore: refused unread, so no id. *)
+      ( v3 ({|"id":17,"op":"status","pad":"|} ^ String.make 1_048_576 'x' ^ {|"|}),
+        0,
         Wire.Bad_request );
     ]
   in
