@@ -692,19 +692,14 @@ let scale () =
    allocs/sec plus p50/p99 request latency from the daemon's own
    service.request_latency_s histogram (via Slo's bucket percentiles).
 
-   Default is an in-process comparison: the same workload runs once
-   against a per-request-snapshot daemon (the cost a one-shot CLI pays
-   on every call: fresh monitor capture, cold model cache) and once
-   against the per-tick batching daemon, and the ratio is the headline.
-   --serve-socket PATH instead drives an externally started daemon (one
-   row, no comparison) — the CI smoke path.
+   By default the daemon runs in-process; --serve-socket PATH instead
+   drives an externally started one. Either way the run is one row.
 
-   Results go to stdout and BENCH_serve.json; --serve-baseline FILE
-   compares batched allocs/sec and the batched/per-request speedup
-   against a committed run, skipping with a notice when the host core
-   count differs (same convention as the scale gate), and
-   --serve-min-speedup X fails the run if batching does not deliver at
-   least Xx. *)
+   Results go to stdout and BENCH_serve.json; --serve-check requires a
+   nonzero rate, a populated p99 and zero overlapping grants, and
+   --serve-baseline FILE compares allocs/sec against a committed run,
+   skipping with a notice when the host core count differs (same
+   convention as the scale gate). *)
 
 module Service = Rm_service
 
@@ -712,7 +707,6 @@ let serve_clients = ref 64
 let serve_seconds = ref 3.0
 let serve_socket : string option ref = ref None
 let serve_baseline : string option ref = ref None
-let serve_min_speedup = ref 0.0
 let serve_check = ref false
 let serve_open_rate : float option ref = ref None
 
@@ -762,8 +756,7 @@ let serve_percentiles delta =
 
    Every grant's node set is checked against every other live grant
    across all clients: an intersection means the daemon double-booked a
-   node — the contended overlay-on vs bookkeeping-only headline. When
-   the daemon rejects for capacity (overlay mode holds granted nodes
+   node. When the daemon rejects for capacity (it holds granted nodes
    out of the pool, so 64 clients saturate the cluster by design), the
    client frees its oldest grant and keeps churning. *)
 let drive_clients ~endpoint ~clients ~seconds =
@@ -868,30 +861,18 @@ let serve_row_of ~mode ~requests ~retries ~req_errors ~rejected ~overlaps
   }
 
 (* One in-process daemon round: start a server on a private unix
-   socket, drive the closed loop, read the latency delta, stop.
-   per-request and batched run bookkeeping-only (the historical
-   comparison whose speedup ratio is the headline and baseline gate);
-   batched-overlay holds granted nodes out of the pool and must grant
+   socket, drive the closed loop, read the latency delta, stop. The
+   daemon holds granted nodes out of the pool, so it must grant
    disjoint node sets under full contention. *)
-let serve_in_process ~batching ~overlay =
-  let mode =
-    match (batching, overlay) with
-    | false, _ -> "per-request"
-    | true, false -> "batched"
-    | true, true -> "batched-overlay"
-  in
-  let path =
-    Printf.sprintf "/tmp/rm-bench-serve-%d-%s.sock" (Unix.getpid ()) mode
-  in
-  (* A cold model cache per mode: batched must earn its hits. *)
+let serve_in_process () =
+  let path = Printf.sprintf "/tmp/rm-bench-serve-%d.sock" (Unix.getpid ()) in
+  (* A cold model cache: the run earns its hits. *)
   Rm_core.Model_cache.clear ();
   let config =
     {
       (Service.Server.default_config
          ~endpoint:(Service.Server.Unix_socket path))
       with
-      batching;
-      overlay;
       broker = { Rm_core.Broker.default_config with policy = serve_policy };
     }
   in
@@ -904,8 +885,8 @@ let serve_in_process ~batching ~overlay =
   in
   let delta = latency_delta ~before ~after:(latency_buckets_now ()) in
   Service.Server.stop server;
-  serve_row_of ~mode ~requests ~retries ~req_errors ~rejected ~overlaps
-    ~elapsed ~delta
+  serve_row_of ~mode:"in-process" ~requests ~retries ~req_errors ~rejected
+    ~overlaps ~elapsed ~delta
 
 (* External daemon: the latency delta comes from scraping /metrics
    before and after and de-cumulating the Prometheus buckets. *)
@@ -955,24 +936,12 @@ let serve_external path =
   serve_row_of ~mode:"external" ~requests ~retries ~req_errors ~rejected
     ~overlaps ~elapsed ~delta
 
-let serve_rows_of_json j =
-  (* rejected/overlaps default to 0 for pre-overlay baselines. *)
-  let int_or_zero row key =
-    match Json.member key row with Json.Null -> 0 | j -> Json.to_int j
-  in
+(* (mode, allocs/sec) of each row of a committed run. *)
+let serve_rates_of_json j =
   Json.to_list (Json.member "rows" j)
   |> List.map (fun row ->
-         {
-           mode = Json.to_str (Json.member "mode" row);
-           requests = Json.to_int (Json.member "requests" row);
-           retries = Json.to_int (Json.member "retries" row);
-           req_errors = Json.to_int (Json.member "errors" row);
-           rejected = int_or_zero row "rejected";
-           overlaps = int_or_zero row "overlaps";
-           allocs_per_sec = Json.to_float (Json.member "allocs_per_sec" row);
-           p50_ms = Json.to_float (Json.member "p50_ms" row);
-           p99_ms = Json.to_float (Json.member "p99_ms" row);
-         })
+         ( Json.to_str (Json.member "mode" row),
+           Json.to_float (Json.member "allocs_per_sec" row) ))
 
 let serve () =
   let was_enabled = Rm_telemetry.Runtime.is_enabled () in
@@ -982,15 +951,10 @@ let serve () =
       if not was_enabled then Rm_telemetry.Runtime.disable ())
   @@ fun () ->
   if !quick && !serve_seconds > 1.0 then serve_seconds := 1.0;
-  let rows =
+  let r =
     match !serve_socket with
-    | Some path -> [ serve_external path ]
-    | None ->
-      [
-        serve_in_process ~batching:false ~overlay:false;
-        serve_in_process ~batching:true ~overlay:false;
-        serve_in_process ~batching:true ~overlay:true;
-      ]
+    | Some path -> serve_external path
+    | None -> serve_in_process ()
   in
   let buf = Buffer.create 1024 in
   Experiments.Render.table
@@ -1000,33 +964,20 @@ let serve () =
         "allocs/s"; "p50"; "p99";
       ]
     ~rows:
-      (List.map
-         (fun r ->
-           [
-             r.mode;
-             string_of_int r.requests;
-             string_of_int r.retries;
-             string_of_int r.req_errors;
-             string_of_int r.rejected;
-             string_of_int r.overlaps;
-             Printf.sprintf "%.1f" r.allocs_per_sec;
-             Printf.sprintf "%.2fms" r.p50_ms;
-             Printf.sprintf "%.2fms" r.p99_ms;
-           ])
-         rows)
+      [
+        [
+          r.mode;
+          string_of_int r.requests;
+          string_of_int r.retries;
+          string_of_int r.req_errors;
+          string_of_int r.rejected;
+          string_of_int r.overlaps;
+          Printf.sprintf "%.1f" r.allocs_per_sec;
+          Printf.sprintf "%.2fms" r.p50_ms;
+          Printf.sprintf "%.2fms" r.p99_ms;
+        ];
+      ]
     buf;
-  let find_mode m = List.find_opt (fun r -> r.mode = m) rows in
-  let speedup =
-    match (find_mode "per-request", find_mode "batched") with
-    | Some ctl, Some bat when ctl.allocs_per_sec > 0.0 ->
-      Some (bat.allocs_per_sec /. ctl.allocs_per_sec)
-    | _ -> None
-  in
-  Option.iter
-    (fun s ->
-      Buffer.add_string buf
-        (Printf.sprintf "\nbatched/per-request speedup: %.1fx\n" s))
-    speedup;
   let json =
     Json.Obj
       [
@@ -1047,25 +998,22 @@ let serve () =
               ("alpha", Json.Num 0.5);
               ("policy", Json.Str (Rm_core.Policies.name serve_policy));
             ] );
-        ( "speedup",
-          match speedup with Some s -> Json.Num s | None -> Json.Null );
         ( "rows",
           Json.Arr
-            (List.map
-               (fun r ->
-                 Json.Obj
-                   [
-                     ("mode", Json.Str r.mode);
-                     ("requests", Json.Num (float_of_int r.requests));
-                     ("retries", Json.Num (float_of_int r.retries));
-                     ("errors", Json.Num (float_of_int r.req_errors));
-                     ("rejected", Json.Num (float_of_int r.rejected));
-                     ("overlaps", Json.Num (float_of_int r.overlaps));
-                     ("allocs_per_sec", Json.Num r.allocs_per_sec);
-                     ("p50_ms", Json.Num r.p50_ms);
-                     ("p99_ms", Json.Num r.p99_ms);
-                   ])
-               rows) );
+            [
+              Json.Obj
+                [
+                  ("mode", Json.Str r.mode);
+                  ("requests", Json.Num (float_of_int r.requests));
+                  ("retries", Json.Num (float_of_int r.retries));
+                  ("errors", Json.Num (float_of_int r.req_errors));
+                  ("rejected", Json.Num (float_of_int r.rejected));
+                  ("overlaps", Json.Num (float_of_int r.overlaps));
+                  ("allocs_per_sec", Json.Num r.allocs_per_sec);
+                  ("p50_ms", Json.Num r.p50_ms);
+                  ("p99_ms", Json.Num r.p99_ms);
+                ];
+            ] );
       ]
   in
   let oc = open_out "BENCH_serve.json" in
@@ -1074,51 +1022,29 @@ let serve () =
   close_out oc;
   Buffer.add_string buf "wrote BENCH_serve.json\n";
   let failures = ref [] in
+  let fail msg = failures := msg :: !failures in
   if !serve_check then begin
-    List.iter
-      (fun r ->
-        if r.allocs_per_sec <= 0.0 then
-          failures :=
-            Printf.sprintf "CHECK FAILED: %s allocs/sec is zero" r.mode
-            :: !failures;
-        if not (Float.is_finite r.p99_ms) || r.p99_ms <= 0.0 then
-          failures :=
-            Printf.sprintf "CHECK FAILED: %s p99 not populated" r.mode
-            :: !failures)
-      rows;
-    (* The tentpole guarantee: with grants overlaid, simultaneously
-       active allocations never share a node even at full contention. *)
-    (match find_mode "batched-overlay" with
-    | Some r when r.overlaps > 0 ->
-      failures :=
-        Printf.sprintf
-          "CHECK FAILED: overlay mode double-booked nodes (%d overlapping \
-           grants)"
-          r.overlaps
-        :: !failures
-    | Some r ->
-      Buffer.add_string buf
+    if r.allocs_per_sec <= 0.0 then fail "CHECK FAILED: allocs/sec is zero";
+    if not (Float.is_finite r.p99_ms) || r.p99_ms <= 0.0 then
+      fail "CHECK FAILED: p99 not populated";
+    (* Grants are overlaid and their nodes held, so simultaneously
+       active allocations never share a node, even at full contention. *)
+    if r.overlaps > 0 then
+      fail
         (Printf.sprintf
-           "check: overlay mode granted %d allocations with zero \
-            overlapping node sets (%d capacity rejections absorbed)\n"
-           r.requests r.rejected)
-    | None -> ());
+           "CHECK FAILED: the daemon double-booked nodes (%d overlapping \
+            grants)"
+           r.overlaps);
     if !failures = [] then
       Buffer.add_string buf
-        "check: all modes served requests with populated latency percentiles\n"
+        (Printf.sprintf
+           "check: %d allocations with zero overlapping node sets (%d \
+            capacity rejections absorbed) and populated latency percentiles\n"
+           r.requests r.rejected)
   end;
-  (match (!serve_min_speedup, speedup) with
-  | m, Some s when m > 0.0 && s < m ->
-    failures :=
-      Printf.sprintf "CHECK FAILED: batched speedup %.1fx < required %.1fx" s
-        m
-      :: !failures
-  | m, None when m > 0.0 && !serve_socket = None ->
-    failures := "CHECK FAILED: speedup could not be computed" :: !failures
-  | _ -> ());
   (match !serve_baseline with
   | None -> ()
-  | Some file ->
+  | Some file -> (
     let contents =
       let ic = open_in file in
       let n = in_channel_length ic in
@@ -1141,29 +1067,16 @@ let serve () =
            file
            (Option.value ~default:0 base_cores)
            cores)
-    else begin
-      let base_rows = serve_rows_of_json base_json in
-      let compared = ref 0 in
-      List.iter
-        (fun (base : serve_row) ->
-          match find_mode base.mode with
-          | Some cur
-            when base.allocs_per_sec > 0.0
-                 && cur.allocs_per_sec < base.allocs_per_sec /. 2.0 ->
-            incr compared;
-            failures :=
-              Printf.sprintf
-                "REGRESSION: %s %.1f allocs/s < half of baseline %.1f"
-                base.mode cur.allocs_per_sec base.allocs_per_sec
-              :: !failures
-          | Some _ -> incr compared
-          | None -> ())
-        base_rows;
-      if !compared > 0 && !failures = [] then
+    else
+      match List.assoc_opt r.mode (serve_rates_of_json base_json) with
+      | Some base when base > 0.0 && r.allocs_per_sec < base /. 2.0 ->
+        fail
+          (Printf.sprintf "REGRESSION: %s %.1f allocs/s < half of baseline %.1f"
+             r.mode r.allocs_per_sec base)
+      | Some _ ->
         Buffer.add_string buf
-          (Printf.sprintf
-             "baseline %s: no mode regressed >2x in allocs/sec\n" file)
-    end);
+          (Printf.sprintf "baseline %s: allocs/sec within 2x of it\n" file)
+      | None -> ()));
   List.iter
     (fun f -> Buffer.add_string buf (f ^ "\n"))
     (List.rev !failures);
@@ -1464,14 +1377,6 @@ let () =
       strip rest
     | "--serve-baseline" :: file :: rest ->
       serve_baseline := Some file;
-      strip rest
-    | "--serve-min-speedup" :: x :: rest ->
-      (match float_of_string_opt x with
-      | Some x when x >= 0.0 -> serve_min_speedup := x
-      | _ ->
-        Printf.eprintf
-          "--serve-min-speedup expects a non-negative number, got %S\n%!" x;
-        exit 2);
       strip rest
     | "--serve-check" :: rest ->
       serve_check := true;

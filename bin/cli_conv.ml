@@ -19,6 +19,18 @@ let checked conv ~expected ok =
 
 let positive_int = checked Arg.int ~expected:"a positive integer" (fun n -> n > 0)
 
+(* NaN fails every comparison, so each of these refuses it. *)
+let non_negative_float =
+  checked Arg.float ~expected:"a finite non-negative number" (fun x ->
+      Float.is_finite x && x >= 0.0)
+
+let non_negative_or_inf =
+  checked Arg.float ~expected:"a non-negative number or inf" (fun x -> x >= 0.0)
+
+let positive_float =
+  checked Arg.float ~expected:"a finite positive number" (fun x ->
+      Float.is_finite x && x > 0.0)
+
 let scenario =
   let parse s =
     match Scenario.by_name s with

@@ -39,14 +39,15 @@ let nodes_t =
            ~doc:"Homogeneous N-node cluster instead of the IIT-K reference.")
 
 let tick_ms_t =
-  Arg.(value & opt float 10.0
+  Arg.(value & opt Cli_conv.non_negative_or_inf 10.0
        & info [ "tick-ms" ] ~docv:"MS"
            ~doc:"Wall-clock snapshot refresh period; requests arriving \
                  within one tick share a snapshot (and its model cache \
-                 entry).")
+                 entry). 0 refreshes before every batch; $(b,inf) never \
+                 refreshes.")
 
 let virtual_tick_t =
-  Arg.(value & opt float 0.01
+  Arg.(value & opt Cli_conv.non_negative_float 0.01
        & info [ "virtual-tick" ] ~docv:"SECONDS"
            ~doc:"Virtual seconds the simulated world advances per refresh.")
 
@@ -60,12 +61,6 @@ let max_batch_t =
   Arg.(value & opt Cli_conv.positive_int 256
        & info [ "max-batch" ] ~docv:"N"
            ~doc:"Most requests served from one queue take.")
-
-let no_batch_t =
-  Arg.(value & flag
-       & info [ "no-batch" ]
-           ~doc:"Per-request snapshot control mode: every request pays a \
-                 fresh monitor capture (for comparison runs; slow).")
 
 let policy_t =
   Arg.(value & opt Cli_conv.policy Policies.Network_load_aware
@@ -81,18 +76,18 @@ let starts_t =
                  O(V) CL+degree proxy score.")
 
 let wait_threshold_t =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some Cli_conv.non_negative_float) None
        & info [ "wait-threshold" ] ~docv:"LOAD"
            ~doc:"Mean load per core above which requests get a retry hint \
                  instead of an allocation.")
 
 let max_staleness_t =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some Cli_conv.non_negative_or_inf) None
        & info [ "max-staleness" ] ~docv:"SECONDS"
            ~doc:"Exclude nodes whose monitor record is older than this.")
 
 let retry_after_t =
-  Arg.(value & opt float 0.05
+  Arg.(value & opt Cli_conv.non_negative_float 0.05
        & info [ "retry-after" ] ~docv:"SECONDS"
            ~doc:"Hint attached to retry responses.")
 
@@ -107,16 +102,8 @@ let spill_dir_t =
            ~doc:"Spill trace events to segment files in DIR; flushed on \
                  shutdown.")
 
-let no_overlay_t =
-  Arg.(value & flag
-       & info [ "no-overlay" ]
-           ~doc:"Bookkeeping-only grants: active allocations neither \
-                 overlay load/traffic onto the decision snapshot nor hold \
-                 their nodes out of the grantable pool (the pre-overlay \
-                 daemon behavior; concurrent grants may overlap).")
-
 let lease_t =
-  Arg.(value & opt (some float) None
+  Arg.(value & opt (some Cli_conv.positive_float) None
        & info [ "lease" ] ~docv:"SECONDS"
            ~doc:"Default lease for grants that do not request their own \
                  lease_s: expired allocations are swept and their overlay \
@@ -124,21 +111,21 @@ let lease_t =
                  Unset means grants never expire.")
 
 let overlay_load_t =
-  Arg.(value & opt float 1.0
+  Arg.(value & opt Cli_conv.non_negative_float 1.0
        & info [ "overlay-load-per-proc" ] ~docv:"LOAD"
            ~doc:"Default compute load each granted rank overlays on its \
                  node (overridden per request by load_per_proc).")
 
 let overlay_traffic_t =
-  Arg.(value & opt float 8.0
+  Arg.(value & opt Cli_conv.non_negative_float 8.0
        & info [ "overlay-traffic" ] ~docv:"MB_S"
            ~doc:"Default MB/s each granted rank pushes to its ring \
                  neighbour (overridden per request by \
                  traffic_mb_s_per_proc).")
 
 let serve socket port scenario seed time nodes tick_ms virtual_tick max_pending
-    max_batch no_batch policy starts wait_threshold max_staleness retry_after
-    metrics_out spill_dir no_overlay lease overlay_load overlay_traffic =
+    max_batch policy starts wait_threshold max_staleness retry_after metrics_out
+    spill_dir lease overlay_load overlay_traffic =
   Telemetry.Runtime.enable ();
   let endpoint =
     match port with
@@ -165,12 +152,10 @@ let serve socket port scenario seed time nodes tick_ms virtual_tick max_pending
       virtual_tick_s = virtual_tick;
       max_pending;
       max_batch;
-      batching = not no_batch;
       broker;
       retry_after_s = retry_after;
       metrics_out;
       spill_dir;
-      overlay = not no_overlay;
       default_lease_s = lease;
       overlay_load_per_proc = overlay_load;
       overlay_traffic_mb_s_per_proc = overlay_traffic;
@@ -185,25 +170,21 @@ let serve socket port scenario seed time nodes tick_ms virtual_tick max_pending
     Format.printf "brokerd: listening on 127.0.0.1:%d (scenario %s, seed %d)@."
       p scenario.Scenario.name seed);
   Format.printf
-    "brokerd: policy %s, %s, tick %.0fms, %s; scrape GET /metrics on the \
-     same socket; stop with SIGINT/SIGTERM@."
-    (Policies.name policy)
-    (if no_batch then "per-request snapshots" else "per-tick batching")
-    tick_ms
-    (if no_overlay then "grants bookkeeping-only"
-     else
-       match lease with
-       | Some l -> Printf.sprintf "grant overlay on (lease %.0fs)" l
-       | None -> "grant overlay on");
+    "brokerd: policy %s, tick %.0fms, %s; scrape GET /metrics on the same \
+     socket; stop with SIGINT/SIGTERM@."
+    (Policies.name policy) tick_ms
+    (match lease with
+    | Some l -> Printf.sprintf "lease %gs" l
+    | None -> "no lease");
   Server.run t;
   Format.printf "brokerd: drained and stopped@."
 
 let term =
   Term.(const serve $ socket_t $ port_t $ scenario_t $ seed_t $ time_t
         $ nodes_t $ tick_ms_t $ virtual_tick_t $ max_pending_t $ max_batch_t
-        $ no_batch_t $ policy_t $ starts_t $ wait_threshold_t
-        $ max_staleness_t $ retry_after_t $ metrics_out_t $ spill_dir_t
-        $ no_overlay_t $ lease_t $ overlay_load_t $ overlay_traffic_t)
+        $ policy_t $ starts_t $ wait_threshold_t $ max_staleness_t
+        $ retry_after_t $ metrics_out_t $ spill_dir_t $ lease_t
+        $ overlay_load_t $ overlay_traffic_t)
 
 let doc =
   "Resident allocation daemon: accepts \

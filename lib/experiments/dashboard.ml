@@ -175,30 +175,26 @@ let allocator_trends j =
   | trends -> trends
   | exception Failure _ -> []
 
-(* rm-bench-serve/v1: per-mode daemon rows plus the batched speedup.
-   overlaps (double-booked grants) defaults to 0 for pre-overlay
-   artifacts. *)
+(* rm-bench-serve/v1: the daemon's row(s). overlaps (double-booked
+   grants) defaults to 0 for pre-overlay artifacts. *)
 let serve_rows j =
   match
-    ( Json.to_list (Json.member "rows" j)
-      |> List.filter_map (fun r ->
-             match
-               ( Json.to_str (Json.member "mode" r),
-                 Json.to_float (Json.member "allocs_per_sec" r),
-                 Json.to_float (Json.member "p50_ms" r),
-                 Json.to_float (Json.member "p99_ms" r),
-                 match Json.member "overlaps" r with
-                 | Json.Null -> 0
-                 | o -> Json.to_int o )
-             with
-             | row -> Some row
-             | exception Failure _ -> None),
-      match Json.member "speedup" j with
-      | Json.Num s -> Some s
-      | _ -> None )
+    Json.to_list (Json.member "rows" j)
+    |> List.filter_map (fun r ->
+           match
+             ( Json.to_str (Json.member "mode" r),
+               Json.to_float (Json.member "allocs_per_sec" r),
+               Json.to_float (Json.member "p50_ms" r),
+               Json.to_float (Json.member "p99_ms" r),
+               match Json.member "overlaps" r with
+               | Json.Null -> 0
+               | o -> Json.to_int o )
+           with
+           | row -> Some row
+           | exception Failure _ -> None)
   with
   | rows -> rows
-  | exception Failure _ -> ([], None)
+  | exception Failure _ -> []
 
 (* rm-malleable/v1: one trend row per study arm — rigid/malleable
    makespans, then the two recovery arms' goodput. *)
@@ -362,8 +358,8 @@ let markdown input =
   | None -> ()
   | Some j -> (
     match serve_rows j with
-    | [], _ -> ()
-    | rows, speedup ->
+    | [] -> ()
+    | rows ->
       add "## Serve daemon (BENCH_serve.json)\n\n```\n%s```\n\n"
         (Render.table_str
            ~header:
@@ -378,10 +374,7 @@ let markdown input =
                     Printf.sprintf "%.1f" p99;
                     string_of_int overlaps;
                   ])
-                rows));
-      match speedup with
-      | Some s -> add "batched speedup: %.2fx\n\n" s
-      | None -> ()));
+                rows))));
   (match input.bench_malleable with
   | None -> ()
   | Some j -> (
@@ -650,8 +643,8 @@ let html input =
   | None -> ()
   | Some j -> (
     match serve_rows j with
-    | [], _ -> ()
-    | rows, speedup ->
+    | [] -> ()
+    | rows ->
       add "<h2>Serve daemon (BENCH_serve.json)</h2>\n";
       Buffer.add_string buf
         (html_table
@@ -668,10 +661,7 @@ let html input =
                     string_of_int overlaps;
                   ])
                 rows)
-           ());
-      match speedup with
-      | Some s -> add "<p>batched speedup: %.2fx</p>\n" s
-      | None -> ()));
+           ())));
   (match input.bench_malleable with
   | None -> ()
   | Some j -> (

@@ -18,8 +18,8 @@
     the daemon's whole wall-clock lifetime.
 
     Invariants (qcheck-gated in [test_service.ml]):
-    - an empty registry applies as the physical identity — overlay-off
-      servers and scenarios compose nothing and stay bit-identical;
+    - an empty registry applies as the physical identity — a daemon
+      with no live grant decides on the raw capture, bit-identical;
     - the registry is conservative: the sum of overlay load equals the
       sum over live entries, and removal restores exactly what
       registration added (no leaked or negative load). *)

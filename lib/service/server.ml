@@ -6,18 +6,19 @@
 
    - accept thread: `Unix.select` with a short timeout so it can notice
      the stop flag, then `accept` and hand the connection to a fresh
-     worker thread;
+     worker thread. Once a lease has passed it also hands the tick
+     thread a sweep, so an idle daemon reclaims expired grants;
    - worker threads: speak the `Wire` line protocol (or answer a
-     one-shot HTTP GET for /metrics scrapes). Allocate requests are
-     *submitted* to the admission queue and the worker blocks on an
-     ivar; release/status/metrics are answered inline under the state
-     mutex. Workers never call `Broker.decide`;
+     one-shot HTTP GET for /metrics scrapes). Allocate, grow, shrink
+     and release requests are *submitted* to the admission queue and
+     the worker blocks on an ivar; status/metrics are answered inline
+     under the state mutex. Workers never call `Broker.decide`;
    - tick thread: sole consumer of the admission queue and sole caller
-     of `Broker.decide`. In batched mode the whole batch is served from
-     one snapshot, refreshed only when it is older than `tick_s` of
-     wall time; in the per-request control mode every request pays a
-     fresh `System.snapshot` capture (and therefore a `Model_cache`
-     miss), which is what a one-shot CLI invocation pays.
+     of `Broker.decide`. The whole batch is served from one snapshot,
+     refreshed only when it is older than `tick_s` of wall time (0
+     refreshes before every batch). Every live grant is overlaid onto
+     that snapshot and its nodes are held out of the pool, so each
+     decision sees the load that earlier grants committed.
 
    Virtual time: the daemon embeds the same simulated world the CLI
    commands build (`Sim` + `World` + monitor `System`). Wall time and
@@ -64,7 +65,9 @@ type config = {
   virtual_tick_s : float;  (** virtual seconds added per refresh *)
   max_pending : int;  (** admission queue bound (backpressure) *)
   max_batch : int;  (** most requests served from one queue take *)
-  batching : bool;  (** false = per-request snapshot control mode *)
+  batching : bool;
+      (** must be [true]: requests are always served in per-tick
+          batches. [create] refuses [false]. *)
   broker : Broker.config;
   retry_after_s : float;  (** hint attached to retry responses *)
   metrics_out : string option;  (** final exposition written on stop *)
@@ -77,11 +80,11 @@ type config = {
   reconfig_overhead_s : float;
       (** fixed cost added to every reported reconfiguration delay *)
   overlay : bool;
-      (** grants are first-class load sources: each active allocation
-          overlays compute load and traffic onto the decision snapshot
-          and holds its nodes out of the grantable pool until released
-          (or its lease expires). [false] restores the pre-overlay
-          bookkeeping-only daemon, bit-identical to its decisions. *)
+      (** must be [true]: grants are first-class load sources. Each
+          active allocation overlays compute load and traffic onto the
+          decision snapshot and holds its nodes out of the grantable pool
+          until released (or its lease expires). [create] refuses
+          [false]. *)
   default_lease_s : float option;
       (** lease applied when an allocate carries no [lease_s]; [None]
           grants without expiry (a crashed client then pins overlayed
@@ -151,8 +154,8 @@ type work =
   | Grow_work of Wire.grow
   | Shrink_work of { alloc_id : int; delta_procs : int }
   | Release_work of { alloc_id : int }
-      (** overlay mode only: the release recomposes the world, which
-          must happen on the tick thread (sole [Model_cache] user) *)
+      (** the release recomposes the world, which must happen on the
+          tick thread (sole [Model_cache] user) *)
 
 type pending = {
   work : work;
@@ -160,13 +163,17 @@ type pending = {
   reply : Wire.response Ivar.t;
 }
 
+(* What the tick thread takes off the admission queue: a request, or a
+   lease sweep handed over by the accept loop while no batch runs. *)
+type job = Request of pending | Sweep
+
 (* Everything the daemon knows about one live grant. The overlay
    handle ties the allocation to its load/traffic footprint in the
    registry; the lease (wall clock) bounds how long a silent client
    can hold it. *)
 type alloc_state = {
   allocation : Allocation.t;
-  handle : Overlay.handle option;  (* None when overlays are off *)
+  handle : Overlay.handle;
   expires_at : float option;  (* wall clock; None = no lease *)
   lease_s : float option;  (* duration granted, echoed on the wire *)
   load_per_proc : float;
@@ -179,19 +186,18 @@ type t = {
   world : World.t;
   monitor : System.t;
   rng : Rm_stats.Rng.t;  (* decision rng; tick thread only *)
-  queue : pending Batcher.t;
+  queue : job Batcher.t;
   state_mutex : Mutex.t;
       (* guards: snapshot, composed, decide, snapshot_taken_at,
          virtual_time, allocs, tombstones, overlays, next_alloc_id,
          served, batches, sim/world/monitor advancement *)
   mutable snapshot : Snapshot.t;  (* raw monitor capture *)
   mutable composed : Snapshot.t;
-      (* snapshot with grant overlays applied; == snapshot when
-         overlays are off or no grant is live *)
+      (* snapshot with grant overlays applied; == snapshot when no
+         grant is live. The model cache's patch chain follows it. *)
   mutable decide : Snapshot.t;
-      (* what the broker sees: [composed], additionally restricted by
-         the held-node set when overlays are on. Physically == snapshot
-         when overlays are off (the bookkeeping-only decision path). *)
+      (* what the broker sees: [composed] restricted by the held-node
+         set *)
   overlays : Overlay.t;
   mutable snapshot_taken_at : float;  (* wall clock *)
   mutable virtual_time : float;
@@ -282,6 +288,8 @@ let create config =
   (* Checked here, not on the tick thread: a take of zero would kill
      that thread and leave every allocate waiting forever. *)
   if config.max_batch <= 0 then invalid_arg "Server: max_batch must be positive";
+  if not config.batching then invalid_arg "Server: batching cannot be turned off";
+  if not config.overlay then invalid_arg "Server: overlay cannot be turned off";
   let cluster = make_cluster config.nodes in
   let sim = Sim.create () in
   let world =
@@ -341,28 +349,27 @@ let create config =
    [traffic_mb_s_per_proc] to its ring neighbour — a halo-exchange-
    shaped demand over the allocation's nodes in placement order
    (single-node allocations push nothing onto the network). *)
-let footprint (st : alloc_state) =
-  let entries = st.allocation.Allocation.entries in
+let footprint ~load_per_proc ~traffic_mb_s_per_proc (a : Allocation.t) =
+  let entries = a.Allocation.entries in
   let load =
-    if st.load_per_proc <= 0.0 then []
+    if load_per_proc <= 0.0 then []
     else
       List.map
         (fun (e : Allocation.entry) ->
-          ( e.Allocation.node,
-            float_of_int e.Allocation.procs *. st.load_per_proc ))
+          (e.Allocation.node, float_of_int e.Allocation.procs *. load_per_proc))
         entries
   in
   let ring = Array.of_list entries in
   let k = Array.length ring in
   let traffic =
-    if k < 2 || st.traffic_mb_s_per_proc <= 0.0 then []
+    if k < 2 || traffic_mb_s_per_proc <= 0.0 then []
     else
       List.init
         (if k = 2 then 1 else k)
         (fun i ->
           let src = ring.(i) and dst = ring.((i + 1) mod k) in
           ( (src.Allocation.node, dst.Allocation.node),
-            float_of_int src.Allocation.procs *. st.traffic_mb_s_per_proc ))
+            float_of_int src.Allocation.procs *. traffic_mb_s_per_proc ))
   in
   (load, traffic)
 
@@ -376,7 +383,7 @@ let held_nodes_locked t =
    the new composed snapshot's network model rides the O(touched·V)
    incremental patch (PR 7) from the previous composed snapshot
    instead of a full O(V²) re-derivation. Caller holds state_mutex;
-   overlay mode only; tick thread only (Model_cache discipline). *)
+   tick thread only (Model_cache discipline). *)
 let recompose_locked t ~touched =
   let prev = t.composed in
   let composed = Overlay.apply t.overlays t.snapshot in
@@ -402,39 +409,38 @@ let refresh_alloc_gauges_locked t =
 (* Runs on the tick thread (decisions and their table updates live
    there). Returns the fresh id plus the lease actually granted. *)
 let register_allocation t allocation ~(params : Wire.allocate) =
+  let { default_lease_s; overlay_load_per_proc; overlay_traffic_mb_s_per_proc; _ } =
+    t.config
+  in
   let wall = Unix.gettimeofday () in
+  let lease_s =
+    match params.Wire.lease_s with Some _ as l -> l | None -> default_lease_s
+  in
+  let load_per_proc =
+    Option.value params.Wire.load_per_proc ~default:overlay_load_per_proc
+  in
+  let traffic_mb_s_per_proc =
+    Option.value params.Wire.traffic_mb_s_per_proc
+      ~default:overlay_traffic_mb_s_per_proc
+  in
+  let load, traffic =
+    footprint ~load_per_proc ~traffic_mb_s_per_proc allocation
+  in
   Mutex.lock t.state_mutex;
   let id = t.next_alloc_id in
   t.next_alloc_id <- id + 1;
-  let lease_s =
-    match params.Wire.lease_s with
-    | Some _ as l -> l
-    | None -> t.config.default_lease_s
-  in
   let st =
     {
       allocation;
-      handle = None;
+      handle = Overlay.register t.overlays ~load ~traffic;
       expires_at = Option.map (fun l -> wall +. l) lease_s;
       lease_s;
-      load_per_proc =
-        Option.value params.Wire.load_per_proc
-          ~default:t.config.overlay_load_per_proc;
-      traffic_mb_s_per_proc =
-        Option.value params.Wire.traffic_mb_s_per_proc
-          ~default:t.config.overlay_traffic_mb_s_per_proc;
+      load_per_proc;
+      traffic_mb_s_per_proc;
     }
   in
-  let st =
-    if not t.config.overlay then st
-    else begin
-      let load, traffic = footprint st in
-      { st with handle = Some (Overlay.register t.overlays ~load ~traffic) }
-    end
-  in
   Hashtbl.replace t.allocs id st;
-  if t.config.overlay then
-    recompose_locked t ~touched:(Allocation.node_ids allocation);
+  recompose_locked t ~touched:(Allocation.node_ids allocation);
   if st.expires_at <> None then Metrics.incr m_lease_granted;
   refresh_alloc_gauges_locked t;
   Mutex.unlock t.state_mutex;
@@ -448,20 +454,17 @@ let drop_allocation_locked t ~alloc_id ~reason =
   | Some st ->
     Hashtbl.remove t.allocs alloc_id;
     Hashtbl.replace t.tombstones alloc_id reason;
-    Option.iter (Overlay.remove t.overlays) st.handle;
+    Overlay.remove t.overlays st.handle;
     refresh_alloc_gauges_locked t;
     Some st
 
-(* Overlay mode routes releases through the tick thread (the overlay
-   recomposition touches `Model_cache`); bookkeeping-only mode answers
-   inline on the worker like it always did. *)
+(* Tick thread: the overlay recomposition touches `Model_cache`. *)
 let release_allocation t ~alloc_id =
   Mutex.lock t.state_mutex;
   let outcome =
     match drop_allocation_locked t ~alloc_id ~reason:`Released with
     | Some st ->
-      if t.config.overlay then
-        recompose_locked t ~touched:(Allocation.node_ids st.allocation);
+      recompose_locked t ~touched:(Allocation.node_ids st.allocation);
       `Released
     | None -> (
       match Hashtbl.find_opt t.tombstones alloc_id with
@@ -487,22 +490,20 @@ let replace_allocation t ~alloc_id allocation =
   | None -> ()
   | Some st ->
     let old_nodes = Allocation.node_ids st.allocation in
-    let st = { st with allocation } in
-    Hashtbl.replace t.allocs alloc_id st;
-    (match st.handle with
-    | Some h ->
-      let load, traffic = footprint st in
-      Overlay.set t.overlays h ~load ~traffic
-    | None -> ());
-    if t.config.overlay then
-      recompose_locked t
-        ~touched:
-          (List.sort_uniq compare (old_nodes @ Allocation.node_ids allocation)));
+    Hashtbl.replace t.allocs alloc_id { st with allocation };
+    let load, traffic =
+      footprint ~load_per_proc:st.load_per_proc
+        ~traffic_mb_s_per_proc:st.traffic_mb_s_per_proc allocation
+    in
+    Overlay.set t.overlays st.handle ~load ~traffic;
+    recompose_locked t
+      ~touched:(List.sort_uniq compare (old_nodes @ Allocation.node_ids allocation)));
   Mutex.unlock t.state_mutex
 
-(* Lease sweep — tick thread, before each batch. Expired grants are
-   dropped in one pass and the world recomposed once, so a crashed
-   client cannot pin overlayed capacity past its lease. *)
+(* Lease sweep — tick thread, before each batch and whenever the accept
+   loop hands one over. Expired grants are dropped in one pass and the
+   world recomposed once, so a crashed client cannot pin overlayed
+   capacity past its lease. *)
 let sweep_leases t ~wall =
   Mutex.lock t.state_mutex;
   let expired =
@@ -521,8 +522,7 @@ let sweep_leases t ~wall =
         Metrics.incr m_lease_expired;
         touched := Allocation.node_ids st.allocation @ !touched)
       expired;
-    if t.config.overlay then
-      recompose_locked t ~touched:(List.sort_uniq compare !touched)
+    recompose_locked t ~touched:(List.sort_uniq compare !touched)
   end;
   Mutex.unlock t.state_mutex
 
@@ -530,7 +530,6 @@ let sweep_leases t ~wall =
 
 (* Advance virtual time one tick and recapture. Caller holds state_mutex. *)
 let refresh_snapshot_locked t ~wall =
-  let prev = t.snapshot in
   let prev_composed = t.composed in
   t.virtual_time <- t.virtual_time +. t.config.virtual_tick_s;
   Sim.run_until t.sim t.virtual_time;
@@ -540,24 +539,15 @@ let refresh_snapshot_locked t ~wall =
   (* If the previous tick's network model is cached and the usable set
      held, patch it forward to the new snapshot (O(touched·V)) instead
      of letting the next decision rebuild O(V²) from scratch. The
-     no-batch control mode takes per-request snapshots on purpose and
-     never primes. In overlay mode the decision path reads the
-     *composed* snapshot, so that is the chain the priming follows. *)
-  if t.config.overlay then begin
-    let composed = Overlay.apply t.overlays t.snapshot in
-    t.composed <- composed;
-    Rm_core.Model_cache.prime_derived composed ~prev:prev_composed
-      ~weights:t.config.broker.Broker.weights;
-    let held = held_nodes_locked t in
-    t.decide <-
-      (if held = [] then composed else Snapshot.restrict composed ~exclude:held)
-  end
-  else begin
-    t.composed <- t.snapshot;
-    t.decide <- t.snapshot;
-    Rm_core.Model_cache.prime_derived t.snapshot ~prev
-      ~weights:t.config.broker.Broker.weights
-  end;
+     decision path reads the *composed* snapshot, so that is the chain
+     the priming follows. *)
+  let composed = Overlay.apply t.overlays t.snapshot in
+  t.composed <- composed;
+  Model_cache.prime_derived composed ~prev:prev_composed
+    ~weights:t.config.broker.Broker.weights;
+  let held = held_nodes_locked t in
+  t.decide <-
+    (if held = [] then composed else Snapshot.restrict composed ~exclude:held);
   Metrics.incr m_snapshots
 
 (* --- tick-thread response construction -----------------------------------
@@ -702,7 +692,6 @@ let serve_batch t batch =
   Mutex.lock t.state_mutex;
   if wall -. t.snapshot_taken_at >= t.config.tick_s then
     refresh_snapshot_locked t ~wall;
-  let snapshot = t.decide in
   Mutex.unlock t.state_mutex;
   let n = List.length batch in
   Metrics.incr m_batches;
@@ -710,39 +699,12 @@ let serve_batch t batch =
   Metrics.set m_queue_depth (float_of_int (Batcher.depth t.queue));
   List.iter
     (fun p ->
-      (* Control mode: a fresh capture per request — new physical
-         snapshot, so the model cache misses and every Eq. 1/2/3 bundle
-         is rebuilt, like a one-shot CLI call. *)
-      let snapshot =
-        if not t.config.batching then begin
-          Mutex.lock t.state_mutex;
-          let s = System.snapshot t.monitor ~time:t.virtual_time in
-          let s =
-            if not t.config.overlay then s
-            else begin
-              (* Control mode composes and restricts the fresh capture
-                 too — same semantics, full-rebuild cost by design. *)
-              let s = Overlay.apply t.overlays s in
-              match held_nodes_locked t with
-              | [] -> s
-              | held -> Snapshot.restrict s ~exclude:held
-            end
-          in
-          Mutex.unlock t.state_mutex;
-          s
-        end
-        else if t.config.overlay then begin
-          (* A grant earlier in this batch re-shaped the world; read
-             the recomposed decision snapshot. With no grants in
-             between this is the same physical record, so the model
-             cache still hits. *)
-          Mutex.lock t.state_mutex;
-          let s = t.decide in
-          Mutex.unlock t.state_mutex;
-          s
-        end
-        else snapshot
-      in
+      (* A grant earlier in this batch re-shaped the world; read the
+         recomposed decision snapshot. With no grant in between this
+         is the same physical record, so the model cache still hits. *)
+      Mutex.lock t.state_mutex;
+      let snapshot = t.decide in
+      Mutex.unlock t.state_mutex;
       let response =
         try serve_work t ~snapshot p.work
         with exn ->
@@ -759,22 +721,25 @@ let serve_batch t batch =
         (Unix.gettimeofday () -. p.enqueued_at);
       Mutex.lock t.state_mutex;
       t.served <- t.served + 1;
-      if not t.config.batching then t.batches <- t.batches + 1;
       Mutex.unlock t.state_mutex;
       Ivar.fill p.reply response)
     batch;
-  if t.config.batching then begin
-    Mutex.lock t.state_mutex;
-    t.batches <- t.batches + 1;
-    Mutex.unlock t.state_mutex
-  end
+  Mutex.lock t.state_mutex;
+  t.batches <- t.batches + 1;
+  Mutex.unlock t.state_mutex
 
+(* A take that holds only sweeps is not a batch: it sweeps, and serves,
+   counts and times nothing. A batch sweeps at its top anyway. *)
 let tick_loop t =
   let rec loop () =
     match Batcher.take t.queue ~max:t.config.max_batch with
     | [] -> ()  (* queue closed and drained *)
-    | batch ->
-      serve_batch t batch;
+    | jobs ->
+      (match
+         List.filter_map (function Request p -> Some p | Sweep -> None) jobs
+       with
+      | [] -> sweep_leases t ~wall:(Unix.gettimeofday ())
+      | batch -> serve_batch t batch);
       loop ()
   in
   loop ()
@@ -792,11 +757,11 @@ let status_info t =
       queue_depth = Batcher.depth t.queue;
       served = t.served;
       batches = t.batches;
-      batching = t.config.batching;
+      batching = true;
       draining = Atomic.get t.draining;
       cache_hits = Model_cache.hits ();
       cache_misses = Model_cache.misses ();
-      overlay = t.config.overlay;
+      overlay = true;
       active_leases = leased_count_locked t;
     }
   in
@@ -812,7 +777,7 @@ let submit_work t work =
     let p =
       { work; enqueued_at = Unix.gettimeofday (); reply = Ivar.create () }
     in
-    match Batcher.submit t.queue p with
+    match Batcher.submit t.queue (Request p) with
     | `Queue_full ->
       Metrics.incr m_rejected;
       Wire.Retry { after_s = t.config.retry_after_s; reason = Wire.Queue_full }
@@ -826,12 +791,7 @@ let handle_request t = function
   | Wire.Grow g -> submit_work t (Grow_work g)
   | Wire.Shrink { alloc_id; delta_procs } ->
     submit_work t (Shrink_work { alloc_id; delta_procs })
-  | Wire.Release { alloc_id } ->
-    (* Overlay mode: the release re-shapes the decision snapshot, so it
-       rides the admission queue to the tick thread like every other
-       world-changing op. Bookkeeping-only mode answers inline. *)
-    if t.config.overlay then submit_work t (Release_work { alloc_id })
-    else release_response t ~alloc_id
+  | Wire.Release { alloc_id } -> submit_work t (Release_work { alloc_id })
   | Wire.Status -> Wire.Status_info (status_info t)
   | Wire.Metrics -> Wire.Metrics_text (Telemetry.Prometheus.render_registry ())
 
@@ -961,6 +921,22 @@ let worker t fd =
           loop first
       with End_of_file | Sys_error _ | Unix.Unix_error _ -> ())
 
+(* True once a live grant's lease has passed. *)
+let lease_passed t ~wall =
+  Mutex.lock t.state_mutex;
+  let passed =
+    Hashtbl.fold
+      (fun _ st passed ->
+        passed
+        || match st.expires_at with Some at -> at <= wall | None -> false)
+      t.allocs false
+  in
+  Mutex.unlock t.state_mutex;
+  passed
+
+(* Besides accepting, each wake (at least every 200 ms) hands the tick
+   thread a sweep once a lease has passed: batches sweep on their own,
+   but an idle daemon runs none. *)
 let accept_loop t =
   let rec loop () =
     if Atomic.get t.stop_requested then ()
@@ -972,6 +948,9 @@ let accept_loop t =
         | fd, _ -> ignore (Thread.create (worker t) fd)
         | exception Unix.Unix_error ((Unix.EINTR | Unix.EAGAIN), _, _) -> ())
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());
+      if lease_passed t ~wall:(Unix.gettimeofday ()) then
+        ignore
+          (Batcher.submit t.queue Sweep : [ `Queued | `Queue_full | `Closed ]);
       loop ()
     end
   in

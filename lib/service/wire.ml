@@ -116,11 +116,11 @@ type status_info = {
   queue_depth : int;
   served : int;
   batches : int;
-  batching : bool;
+  batching : bool;  (** always [true]: the daemon has one mode *)
   draining : bool;
   cache_hits : int;
   cache_misses : int;
-  overlay : bool;  (** grants overlay load/traffic and hold nodes *)
+  overlay : bool;  (** always [true]: grants overlay load and hold nodes *)
   active_leases : int;  (** live allocations with an expiry *)
 }
 
@@ -585,11 +585,9 @@ let pp_response ppf = function
   | Status_info s ->
     Format.fprintf ppf
       "status: up %.1fs vt=%.0fs active=%d leased=%d depth=%d served=%d \
-       batches=%d%s%s%s"
+       batches=%d%s"
       s.uptime_s s.virtual_time s.active_allocations s.active_leases
       s.queue_depth s.served s.batches
-      (if s.overlay then "" else " (bookkeeping only)")
-      (if s.batching then "" else " (per-request snapshots)")
       (if s.draining then " draining" else "")
   | Metrics_text text ->
     Format.fprintf ppf "metrics exposition (%d bytes)" (String.length text)

@@ -729,8 +729,8 @@ let test_dashboard_renders () =
   in
   let bench_serve =
     Rm_telemetry.Json.of_string
-      {|{"schema":"rm-bench-serve/v1","speedup":3.5,"rows":[
-         {"mode":"batched","allocs_per_sec":1700.0,"p50_ms":18.0,"p99_ms":50.0}]}|}
+      {|{"schema":"rm-bench-serve/v1","rows":[
+         {"mode":"in-process","allocs_per_sec":1234.0,"p50_ms":18.0,"p99_ms":50.0,"overlaps":0}]}|}
   in
   let input =
     Dash.make
@@ -746,7 +746,7 @@ let test_dashboard_renders () =
       "RM perf dashboard"; "## Cells"; "Heatmaps"; "Baseline gate";
       "FAIL uniform/random/naive"; "Trends across runs";
       "Allocator scaling (BENCH_allocator.json"; "dense-warm";
-      "Serve daemon (BENCH_serve.json"; "batched speedup: 3.50x";
+      "Serve daemon (BENCH_serve.json"; "in-process"; "1234";
       "skipped: why not"; "Cells CSV";
     ];
   let html = Dash.html input in
@@ -756,7 +756,7 @@ let test_dashboard_renders () =
         (contains html needle))
     [
       "<!DOCTYPE html>"; "badge fail"; "Heatmaps"; "dense-warm";
-      "batched speedup: 3.50x"; "</html>";
+      "in-process</td>"; "</html>";
     ];
   (* the failing gate the renderers annotate is the one gate computes *)
   Alcotest.(check bool) "verdicts expose the regression" false

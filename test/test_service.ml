@@ -593,21 +593,15 @@ let test_staleness_exclusion_in_batch () =
 
 (* --- server end to end --------------------------------------------------- *)
 
-let with_server ?(batching = true) ?(broker = Broker.default_config)
-    ?metrics_out ?(overlay = true) ?lease f =
-  let path =
-    Printf.sprintf "/tmp/rm-svc-test-%d-%s.sock" (Unix.getpid ())
-      (if batching then "b" else "c")
-  in
+let with_server ?(broker = Broker.default_config) ?metrics_out ?lease f =
+  let path = Printf.sprintf "/tmp/rm-svc-test-%d.sock" (Unix.getpid ()) in
   let config =
     {
       (Server.default_config ~endpoint:(Server.Unix_socket path)) with
       nodes = Some 12;
       tick_s = 0.005;
-      batching;
       broker;
       metrics_out;
-      overlay;
       default_lease_s = lease;
     }
   in
@@ -622,21 +616,30 @@ let with_server ?(batching = true) ?(broker = Broker.default_config)
       if not was_enabled then Rm_telemetry.Runtime.disable ())
     (fun () -> f ~path ~server)
 
+let unused_config () =
+  Server.default_config
+    ~endpoint:(Server.Unix_socket "/tmp/rm-svc-test-unused.sock")
+
 (* A batch bound of zero is refused when the server is made; left to
    the tick thread, the first take would raise there and every allocate
    would wait forever. *)
 let test_server_rejects_zero_batch () =
-  let config =
-    {
-      (Server.default_config
-         ~endpoint:(Server.Unix_socket "/tmp/rm-svc-test-unused.sock"))
-      with
-      max_batch = 0;
-    }
-  in
-  match Server.create config with
+  match Server.create { (unused_config ()) with max_batch = 0 } with
   | _ -> Alcotest.fail "created a server with max_batch = 0"
   | exception Invalid_argument _ -> ()
+
+(* The daemon has one mode: batched, with every grant overlaid.
+   Setting either config field to false is refused. *)
+let test_server_rejects_control_modes () =
+  List.iter
+    (fun (what, config) ->
+      match Server.create config with
+      | _ -> Alcotest.failf "created a server with %s = false" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("batching", { (unused_config ()) with batching = false });
+      ("overlay", { (unused_config ()) with overlay = false });
+    ]
 
 let test_server_allocate_release () =
   with_server @@ fun ~path ~server:_ ->
@@ -845,18 +848,6 @@ let test_server_metrics_and_http () =
     | _ -> false
     | exception Failure _ -> false)
 
-let test_server_control_mode () =
-  with_server ~batching:false @@ fun ~path ~server:_ ->
-  let c = Client.connect (`Unix path) in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  (match Client.allocate c ~procs:8 with
-  | Wire.Allocated _ -> ()
-  | r -> Alcotest.failf "expected allocation, got %a" Wire.pp_response r);
-  match Client.status c with
-  | Wire.Status_info s ->
-    Alcotest.(check bool) "control mode reported" true (not s.Wire.batching)
-  | r -> Alcotest.failf "expected status, got %a" Wire.pp_response r
-
 let test_server_graceful_stop () =
   let metrics_out =
     Printf.sprintf "/tmp/rm-svc-test-%d-final.prom" (Unix.getpid ())
@@ -1018,8 +1009,8 @@ let prop_overlay_conservation =
 (* Pointwise composition: node loads gain the granted compute load on
    every running-means view, measured bandwidth loses each endpoint's
    incident traffic (clamped), and untouched cells stay untouched. An
-   empty registry is the physical identity — the overlay-off server
-   path composes nothing, bit-identical to the pre-overlay daemon. *)
+   empty registry is the physical identity, so a daemon with no live
+   grant decides on the raw capture. *)
 let test_overlay_compose () =
   let snap = service_fixture () in
   let t = Overlay.create ~node_count:6 in
@@ -1102,29 +1093,6 @@ let test_server_overlay_disjoint_grants () =
          (Allocation.node_ids allocation))
   | r -> Alcotest.failf "expected regrant, got %a" Wire.pp_response r
 
-(* Satellite 4 (flip side): overlay-off is the pre-overlay daemon —
-   grants are bookkeeping only, so back-to-back allocations double-book
-   the same best-scoring nodes. Pins the behavior the tentpole fixes
-   (and that --no-overlay deliberately preserves). *)
-let test_server_overlay_off_double_books () =
-  with_server ~overlay:false @@ fun ~path ~server:_ ->
-  let c = Client.connect (`Unix path) in
-  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-  let grab () =
-    match Client.allocate c ~ppn:4 ~procs:16 with
-    | Wire.Allocated { allocation; _ } -> Allocation.node_ids allocation
-    | r -> Alcotest.failf "expected allocation, got %a" Wire.pp_response r
-  in
-  let a = grab () in
-  let b = grab () in
-  Alcotest.(check bool) "second live grant overlaps the first" true
-    (List.exists (fun n -> List.mem n b) a);
-  match Client.status c with
-  | Wire.Status_info s ->
-    Alcotest.(check bool) "overlay reported off" true (not s.Wire.overlay);
-    Alcotest.(check int) "both grants live" 2 s.Wire.active_allocations
-  | r -> Alcotest.failf "expected status, got %a" Wire.pp_response r
-
 (* Satellite 3: a v2 shrink that drops every rank on a node is a
    partial release — the emptied node returns to the grantable pool
    immediately, observable as the only node the next grant can get on
@@ -1186,8 +1154,9 @@ let test_server_lease_expiry () =
   | Wire.Status_info s -> Alcotest.(check int) "leases counted" 2 s.Wire.active_leases
   | r -> Alcotest.failf "expected status, got %a" Wire.pp_response r);
   Thread.delay 0.2;
-  (* The sweep runs at the top of the next served batch, before this
-     very release is looked up: the short lease is already a tombstone. *)
+  (* By the time this release is looked up, the accept loop's idle sweep
+     or the sweep at the top of its own batch has made the short lease a
+     tombstone. *)
   (match Client.release c ~alloc_id with
   | Wire.Error { code = Wire.Already_released; _ } -> ()
   | r -> Alcotest.failf "expected already_released, got %a" Wire.pp_response r);
@@ -1196,6 +1165,44 @@ let test_server_lease_expiry () =
     Alcotest.(check int) "only the long lease survives" 1
       s.Wire.active_allocations
   | r -> Alcotest.failf "expected status, got %a" Wire.pp_response r
+
+(* An idle daemon reclaims an expired lease too. After one grant the
+   client sends only status, which is answered inline and never starts
+   a batch, so only the accept loop's sweep can drop the grant. The
+   sweep is not a request: served and the latency count stay put. *)
+let test_server_idle_lease_sweep () =
+  with_server ~lease:0.05 @@ fun ~path ~server:_ ->
+  let c = Client.connect (`Unix path) in
+  Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+  (match Client.allocate c ~ppn:4 ~procs:16 with
+  | Wire.Allocated _ -> ()
+  | r -> Alcotest.failf "expected allocation, got %a" Wire.pp_response r);
+  let latency_count () =
+    match
+      Rm_telemetry.Metrics.find
+        ~labels:[ ("policy", "network-load-aware") ]
+        Server.latency_metric_name
+    with
+    | Some m -> Rm_telemetry.Metrics.count m
+    | None -> Alcotest.fail "no latency histogram"
+  in
+  let timed = latency_count () in
+  let deadline = Unix.gettimeofday () +. 2.0 in
+  let rec poll () =
+    match Client.status c with
+    | Wire.Status_info s when s.Wire.active_allocations = 0 ->
+      Alcotest.(check int) "lease dropped" 0 s.Wire.active_leases;
+      Alcotest.(check int) "only the allocate was served" 1 s.Wire.served;
+      Alcotest.(check int) "no latency sample" timed (latency_count ())
+    | Wire.Status_info s ->
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "%d allocations still active 2 s after a 0.05 s lease"
+          s.Wire.active_allocations;
+      Thread.delay 0.02;
+      poll ()
+    | r -> Alcotest.failf "expected status, got %a" Wire.pp_response r
+  in
+  poll ()
 
 (* --- Slo service report --------------------------------------------------- *)
 
@@ -1270,6 +1277,8 @@ let suites =
           test_server_allocate_release;
         Alcotest.test_case "zero batch bound refused" `Quick
           test_server_rejects_zero_batch;
+        Alcotest.test_case "control modes refused" `Quick
+          test_server_rejects_control_modes;
         Alcotest.test_case "grow and shrink" `Quick test_server_grow_shrink;
         Alcotest.test_case "wait threshold retry" `Quick
           test_server_wait_threshold_retry;
@@ -1279,8 +1288,6 @@ let suites =
           test_server_survives_hostile_burst;
         Alcotest.test_case "metrics op and http scrape" `Quick
           test_server_metrics_and_http;
-        Alcotest.test_case "per-request control mode" `Quick
-          test_server_control_mode;
         Alcotest.test_case "graceful stop" `Quick test_server_graceful_stop;
         Alcotest.test_case "drains in-flight on stop" `Quick
           test_server_drains_before_stopping;
@@ -1291,12 +1298,12 @@ let suites =
         Alcotest.test_case "snapshot composition" `Quick test_overlay_compose;
         Alcotest.test_case "live grants stay node-disjoint" `Quick
           test_server_overlay_disjoint_grants;
-        Alcotest.test_case "overlay-off double-books (pinned)" `Quick
-          test_server_overlay_off_double_books;
         Alcotest.test_case "shrink to zero on a node frees it" `Quick
           test_server_shrink_frees_node;
         Alcotest.test_case "lease expiry sweeps the grant" `Quick
           test_server_lease_expiry;
+        Alcotest.test_case "idle daemon sweeps leases" `Quick
+          test_server_idle_lease_sweep;
       ] );
     ( "service.slo",
       [
